@@ -4,15 +4,16 @@
 // consistency model, and attributing every stalled cycle to the categories
 // of the paper's Figure 3.
 //
-// Workload kernels are ordinary Go functions run on one goroutine per
-// simulated processor, scheduled cooperatively: exactly one goroutine — the
-// current "conch holder" — executes events at any moment, and the conch
-// moves between goroutines only when an event resumes a different
-// processor's kernel (see Driver). A kernel blocks inside each Proc method
-// while the simulator advances; execution is fully serialized through the
-// conch handoff, so simulations are deterministic as long as kernels do not
-// mutate Go state shared between processors (read-only shared setup is
-// fine).
+// Workload kernels are ordinary Go functions, each run as a coroutine
+// (iter.Pull) drawn from a small process-wide idle list. A kernel blocks
+// inside each Proc method while the simulator advances. Exactly one context
+// executes events at any moment: the Driver's hub loop, or the kernel
+// coroutine it most recently resumed, which drives the queue itself until
+// its own response is ready. When an event resumes a different processor,
+// the running kernel yields to the hub and the hub resumes that processor's
+// coroutine. Execution is fully serialized, so simulations are
+// deterministic as long as kernels do not mutate Go state shared between
+// processors (read-only shared setup is fine).
 package cpu
 
 import (
@@ -68,8 +69,8 @@ type response struct {
 }
 
 // Proc is one simulated processor. Kernel-side methods (Read, Write, …)
-// must only be called from the kernel goroutine; everything else belongs to
-// the driver.
+// must only be called from the processor's kernel; everything else belongs
+// to the driver.
 type Proc struct {
 	id int
 	n  int
@@ -81,23 +82,15 @@ type Proc struct {
 	rnd     *rng.RNG
 	drv     *Driver
 
-	// res carries the conch into this processor's kernel goroutine: the
-	// initial start gate and every cross-processor resume arrive here. A
-	// self-resume (this processor's own drive loop executes its resume event)
-	// uses the respReady flag instead and costs no channel operation at all —
-	// the structural win over the old per-op request/response handshake.
-	res chan response
-	// respReady: this processor's response is in resp (set only while it
-	// holds the conch). lostConch: the conch was handed to another goroutine
-	// mid-event; stop driving. Both fields are only ever written by the
-	// goroutine that currently holds the conch, which for these flags is the
-	// owning goroutine itself (see resumeProc), so they need no atomics.
+	// co is the coroutine running this processor's kernel, from Start until
+	// the kernel halts or is abandoned; kernel is the function it runs.
+	co     *coro
+	kernel Kernel
+	// respReady: this processor's response is in resp, delivered by its own
+	// drive loop (a self-resume, which costs no coroutine switch). abandon:
+	// Abandon is unwinding the kernel; every operation it issues panics.
 	respReady bool
-	lostConch bool
-	// gone receives one token when the kernel goroutine exits; see Join.
-	// Allocated once at construction and reused across runs (Join consumes
-	// the token), keeping Start allocation-free.
-	gone chan struct{}
+	abandon   bool
 
 	seq  uint64 // store sequence for value tokens
 	done bool
@@ -159,8 +152,6 @@ func New(id, n int, q *event.Queue, cc *proto.CacheCtrl, barrier *Barrier, brk *
 	p := &Proc{
 		id: id, n: n, q: q, cc: cc, barrier: barrier, brk: brk,
 		rnd:            rng.New(seed ^ uint64(id)*0x9e3779b97f4a7c15),
-		res:            make(chan response),
-		gone:           make(chan struct{}, 1),
 		SpinBackoffMax: 256,
 	}
 	p.contRead = p.onRead
@@ -178,20 +169,16 @@ func New(id, n int, q *event.Queue, cc *proto.CacheCtrl, barrier *Barrier, brk *
 	return p
 }
 
-// Reset returns a halted processor to its just-built state for machine
-// reuse, keeping the channels and the continuation closures bound at
-// construction. The queue, cache controller, barrier, and breakdown wiring
-// persist; only the run state (RNG, store sequence, halt/err, in-flight
-// operation context) is cleared. Resetting a processor whose kernel has not
-// halted would leave its goroutine blocked on the old run's channels, so
-// that is a hard error — the machine rebuilds such processors instead.
+// Reset returns the processor to its just-built state for machine reuse,
+// keeping the continuation closures bound at construction. A kernel that
+// never halted (a deadlock or an expired event budget) is abandoned first.
+// The queue, cache controller, barrier, and breakdown wiring persist; only
+// the run state (RNG, store sequence, halt/err, in-flight operation
+// context) is cleared.
 func (p *Proc) Reset(seed uint64) {
-	if !p.done {
-		panic("cpu: Reset of a processor that has not halted")
-	}
+	p.Abandon()
 	p.rnd.Reseed(seed ^ uint64(p.id)*0x9e3779b97f4a7c15)
 	p.respReady = false
-	p.lostConch = false
 	p.seq = 0
 	p.done = false
 	p.halt = 0
@@ -230,22 +217,21 @@ func (p *Proc) Breakdown() *stats.Breakdown { return p.brk }
 
 // --- cooperative driver --------------------------------------------------------
 
-// Driver owns one machine's event-loop run. Exactly one goroutine at a time
-// — the conch holder — executes events: initially the goroutine that calls
-// Run ("main"), and after the per-processor start events fire, whichever
-// kernel goroutine an event most recently resumed. A kernel that issues an
-// operation drives the queue itself until its own response is ready
-// (respReady, no channel traffic) or until an event resumes a different
-// processor, at which point the conch moves with a single channel send and
-// the loser parks. Compared to the previous design — every operation
-// crossing two unbuffered channels into a central loop — this removes all
-// scheduler traffic from self-resumes and halves it for handoffs, without
-// changing the event stream: operations are issued at exactly the same
-// (time, seq) positions the central loop issued them at.
+// Driver owns one machine's event-loop run. Its hub loop (Run, RunWindow)
+// executes events until one resumes a processor, then resumes that
+// processor's kernel coroutine. The kernel returns from its pending
+// operation, issues the next one, and drives the queue itself: a resume of
+// its own (respReady) costs no switch at all, while a resume of another
+// processor only records that processor in next and makes the kernel yield
+// back to the hub, which resumes it. A handoff is therefore two coroutine
+// switches, with no channel operation and no scheduler wake-up. Operations
+// are issued at exactly the (time, seq) positions a central loop would
+// issue them at: whoever drives, the next kernel code runs before the next
+// event.
 //
-// Every field is only accessed by the current conch holder; the handoff
-// channel sends establish the happens-before edges that make that sound
-// under the race detector.
+// The hub is the only place a kernel is resumed (Abandon aside), and every
+// field is accessed by whichever context currently runs — the hub or the
+// kernel it resumed — so none needs synchronization.
 type Driver struct {
 	q      *event.Queue
 	max    uint64
@@ -256,140 +242,131 @@ type Driver struct {
 	// check entirely — the serial Run path never looks at the clock.
 	limit event.Time
 
-	// cur is the processor holding the conch; nil means main (the Run
-	// caller). mainLost tells main's drive loop the conch moved on.
-	cur      *Proc
-	mainLost bool
-
-	// done receives the run outcome (drained vs budget expired) from
-	// whichever holder stops driving; buffered so main can finish its own
-	// drive loop before receiving.
-	done chan bool
+	// cur is the processor whose kernel is running; nil while the hub
+	// drives. next is the processor an event resumed, pending the hub.
+	cur  *Proc
+	next *Proc
 }
 
 // NewDriver builds a driver for q. Reset arms it for a run.
 func NewDriver(q *event.Queue) *Driver {
-	return &Driver{q: q, done: make(chan bool, 1)}
+	return &Driver{q: q}
 }
 
 // Reset arms the driver for one run with an event budget (the livelock
-// watchdog). A driver is reusable: each run consumes exactly one done
-// notification (Run) or one per window (RunWindow).
+// watchdog). A driver is reusable.
 func (d *Driver) Reset(budget uint64) {
 	d.max, d.budget = budget, budget
 	d.limit = -1
 	d.cur = nil
-	d.mainLost = false
+	d.next = nil
 }
 
 // Steps returns the number of events executed since Reset.
 func (d *Driver) Steps() uint64 { return d.max - d.budget }
 
 // step executes one event within the budget. It returns false when driving
-// must stop for good — the queue drained or the budget expired — in which
-// case the outcome has been posted and the conch dies with this holder.
+// must stop — the queue drained, the budget expired, or the window boundary
+// was reached — and a false return repeats until the driver is re-armed, so
+// the hub can re-check after a kernel stopped and yielded.
 //
 //dsi:hotpath
 func (d *Driver) step() bool {
 	if d.budget == 0 {
-		d.done <- false
 		return false
 	}
 	if d.limit >= 0 {
 		if t, ok := d.q.NextAt(); ok && t >= d.limit {
-			// Window boundary: pause without executing. The conch reverts to
-			// the goroutine that drives the next window (a pausing kernel
-			// goroutine parks on its res channel and is resumed by event, so
-			// cur must not keep pointing at it). No event ran in this call,
-			// so no handoff happened and the write is still private.
-			d.cur = nil
-			d.done <- true
 			return false
 		}
 	}
-	// Decrement before dispatch: the event may hand the conch to another
-	// goroutine mid-Step, and every driver access after the handoff send
-	// belongs to the new holder. An empty queue refunds the charge (no
-	// event ran, so no handoff happened and the refund is still private).
+	// An empty queue refunds the charge: no event ran.
 	d.budget--
 	if !d.q.Step() {
 		d.budget++
-		d.cur = nil
-		d.done <- true
 		return false
 	}
 	return true
 }
 
-// Run drives the queue from the calling goroutine until the conch is handed
-// to a kernel goroutine, then blocks until the run completes. It returns the
-// number of events executed and whether the queue drained (false: the budget
-// expired with events still pending).
-func (d *Driver) Run() (steps uint64, drained bool) {
+// hub drives the queue and resumes each processor an event resumes, until
+// driving stops. It returns false only when the budget expired. A kernel
+// that halts detaches its coroutine here; a resume that arrives after its
+// kernel halted (a kernel that panicked with an operation in flight) is
+// dropped.
+//
+//dsi:hotpath
+func (d *Driver) hub() bool {
 	for {
-		if d.mainLost {
-			d.mainLost = false
-			break
+		if p := d.next; p != nil {
+			d.next = nil
+			if p.co == nil {
+				continue
+			}
+			d.cur = p
+			p.co.next()
+			d.cur = nil
+			if p.done {
+				p.detach()
+			}
+			continue
 		}
 		if !d.step() {
-			break
+			return d.budget != 0
 		}
 	}
-	drained = <-d.done
+}
+
+// Run drives the queue until it drains or the budget expires. It returns
+// the number of events executed and whether the queue drained (false: the
+// budget expired with events still pending). Kernels still blocked when Run
+// returns stay parked until Abandon (or Reset) unwinds them.
+func (d *Driver) Run() (steps uint64, drained bool) {
+	drained = d.hub()
 	return d.max - d.budget, drained
 }
 
-// RunWindow drives the queue from the calling goroutine until the next
-// pending event's time reaches limit, the queue drains, or the budget
-// expires. It returns false only when the budget expired; a true return
-// means the partition quiesced for this window (boundary reached or queue
-// empty — the caller distinguishes via Queue.Len). The conch survives
-// pauses: a kernel goroutine blocked mid-operation at a boundary parks on
-// its resume channel exactly as it does across an ordinary handoff, and the
-// next RunWindow call (from any goroutine, provided calls are externally
-// ordered) picks the drive loop back up. The parallel delivery engine
+// RunWindow drives the queue until the next pending event's time reaches
+// limit, the queue drains, or the budget expires. It returns false only when
+// the budget expired; a true return means the partition quiesced for this
+// window (boundary reached or queue empty — the caller distinguishes via
+// Queue.Len). A kernel blocked mid-operation at a boundary stays parked in
+// its coroutine exactly as across an ordinary handoff, and the next
+// RunWindow call (from any goroutine, provided calls are externally
+// ordered) resumes it when its event fires. The parallel delivery engine
 // (internal/machine) calls this once per conservative time window.
 func (d *Driver) RunWindow(limit event.Time) bool {
 	d.limit = limit
-	for {
-		if d.mainLost {
-			d.mainLost = false
-			break
-		}
-		if !d.step() {
-			break
-		}
-	}
-	return <-d.done
+	return d.hub()
 }
 
 // --- kernel-side API ---------------------------------------------------------
 
+// abandoned is the panic value that unwinds an abandoned kernel.
+type abandoned struct{}
+
 // rpc issues the operation and drives the event loop until this processor's
-// response is ready or the conch moves to another goroutine. Called on the
-// kernel goroutine, which holds the conch whenever kernel code runs.
+// response is ready. If an event resumes another processor, or driving
+// stops, the kernel parks in the hub; the hub resumes it when its own
+// resume event fires, with the response in resp.
 func (p *Proc) rpc(r request) response {
+	if p.abandon {
+		panic(abandoned{})
+	}
 	p.issue(r)
 	d := p.drv
-	for {
-		if p.respReady {
-			p.respReady = false
-			return p.resp
+	for !p.respReady {
+		if d.next == nil && d.step() {
+			continue
 		}
-		if p.lostConch {
-			// Another processor's kernel drives now; park until an event
-			// resumes us (the response rides the handoff).
-			p.lostConch = false
-			return <-p.res
+		p.co.yield(struct{}{})
+		if p.abandon {
+			panic(abandoned{})
 		}
-		if !d.step() {
-			// The run is over (drained or budget expired) with this kernel
-			// still blocked mid-operation. Park forever: the machine observes
-			// Done() == false, reports the deadlock, and rebuilds this
-			// processor before the next run.
-			return <-p.res
-		}
+		return p.resp
 	}
+	p.respReady = false
+	return p.resp
 }
 
 // Read performs a load and returns the accessed word with its block's
@@ -487,75 +464,88 @@ func (p *Proc) Assert(cond bool, format string, args ...any) {
 func (p *Proc) Bind(d *Driver) {
 	p.drv = d
 	p.respReady = false
-	p.lostConch = false
 }
 
-// Start launches the kernel goroutine and schedules the processor's start
-// event at the current simulation time. The goroutine parks on the conch
-// gate immediately; the start event hands it the conch with an empty
-// response, exactly where the old design issued the kernel's first
-// operation.
+// Start attaches an idle coroutine to run the kernel and schedules the
+// processor's start event at the current simulation time. The kernel's
+// first instruction runs when the hub resumes it for that event.
 func (p *Proc) Start(k Kernel) {
-	select {
-	case <-p.gone: // drop a stale token from an unjoined previous run
-	default:
+	if p.co != nil {
+		panic("cpu: Start of a processor whose kernel is still live")
 	}
-	go func() {
-		defer func() { p.gone <- struct{}{} }()
-		<-p.res // conch gate
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					p.err = fmt.Errorf("%v", r)
-				}
-			}()
-			k(p)
-		}()
-		p.haltDrain()
-	}()
+	p.kernel = k
+	p.co = acquireCoro(p)
 	p.resp = response{}
 	p.q.AfterCall(0, resumeProc, p)
 }
 
-// Join blocks until the kernel goroutine launched by Start has fully
-// exited. A halted processor's goroutine may still be unwinding its drive
-// loop (reading lostConch) for a few instructions after the run's outcome
-// is posted; the next run's Reset would race with that read. The machine
-// joins every halted processor before reusing it. Join must only be called
-// for a processor whose kernel has halted — a deadlocked kernel's goroutine
-// is parked forever (the machine rebuilds such processors instead).
-func (p *Proc) Join() {
-	<-p.gone
+// Abandon unwinds a kernel that never halted — one parked in a deadlock, at
+// an expired budget, or never started — and returns its coroutine to the
+// idle list. The kernel's pending operation panics with a private value its
+// coroutine recovers; any operation the kernel's deferred code issues panics
+// the same way, so nothing is scheduled. The processor keeps Done() ==
+// false and no Err. Abandon is a no-op for a processor with no live kernel.
+func (p *Proc) Abandon() {
+	if p.co == nil {
+		return
+	}
+	p.abandon = true
+	p.co.next()
+	p.abandon = false
+	p.detach()
+}
+
+// detach returns the processor's now idle coroutine to the idle list and
+// drops the kernel, so a pooled machine retains no program.
+func (p *Proc) detach() {
+	releaseCoro(p.co)
+	p.co = nil
+	p.kernel = nil
+}
+
+// runKernel is one coroutine job: run the kernel, then mark the processor
+// halted. A kernel panic becomes the processor's error; the abandon panic
+// (or anything else raised while abandoning) only unwinds.
+func (p *Proc) runKernel() {
+	if p.abandon {
+		return
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil && !p.abandon {
+				p.err = fmt.Errorf("%v", r)
+			}
+		}()
+		p.kernel(p)
+	}()
+	if p.abandon {
+		return
+	}
+	if p.OnOp != nil {
+		p.OnOp(TraceOp{Kind: opNames[opHalt]})
+	}
+	p.done = true
+	p.halt = p.q.Now()
 }
 
 // resumeProc is the static typed-event action every operation completion
-// funnels through. Executed by the current conch holder: a self-resume just
-// flags the response ready; resuming any other processor hands the conch
-// over with a single channel send (the holder's drive loop then stops via
-// lostConch/mainLost, set before the send so no queue state is touched
-// after it).
+// funnels through. A resume of the running kernel just flags its response
+// ready; a resume of any other processor records it for the hub.
 //
 //dsi:hotpath
 func resumeProc(arg any) {
 	p := arg.(*Proc)
 	d := p.drv
-	h := d.cur
-	if h == p {
+	if d.cur == p {
 		p.respReady = true
 		return
 	}
-	d.cur = p
-	if h != nil {
-		h.lostConch = true
-	} else {
-		d.mainLost = true
-	}
-	p.res <- p.resp
+	d.next = p
 }
 
 // issue starts executing the kernel's operation at the current simulated
-// time. Runs on the kernel goroutine while it holds the conch — the same
-// stream position the old central loop issued from.
+// time. Runs in the kernel's coroutine — the same stream position a central
+// loop would issue from.
 func (p *Proc) issue(r request) {
 	if p.OnOp != nil {
 		p.OnOp(TraceOp{Kind: opNames[r.kind], Addr: r.addr, Word: r.word, Cycles: r.cycles, Sync: r.sync})
@@ -585,29 +575,6 @@ func (p *Proc) issue(r request) {
 		p.cc.DrainWB(p.contBarrierDrained)
 	case opHalt:
 		panic("cpu: halt is not an issued operation")
-	}
-}
-
-// haltDrain marks the kernel halted and keeps driving the event loop until
-// the conch moves on or the run ends — a halted processor cannot abandon the
-// conch, or the simulation would stall with events pending. Runs on the
-// kernel goroutine after the kernel function returns; the goroutine exits
-// when this returns.
-func (p *Proc) haltDrain() {
-	if p.OnOp != nil {
-		p.OnOp(TraceOp{Kind: opNames[opHalt]})
-	}
-	p.done = true
-	p.halt = p.q.Now()
-	d := p.drv
-	for {
-		if p.lostConch {
-			p.lostConch = false
-			return
-		}
-		if !d.step() {
-			return
-		}
 	}
 }
 

@@ -59,12 +59,6 @@ func run(t *testing.T, h *harness, procs []*Proc) {
 		t.Fatalf("livelock: budget expired after %d events", steps)
 	}
 	for i, p := range procs {
-		if p.Done() {
-			p.Join()
-		}
-		_ = i
-	}
-	for i, p := range procs {
 		if !p.Done() {
 			t.Fatalf("proc %d not done", i)
 		}

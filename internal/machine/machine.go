@@ -39,8 +39,8 @@ type Config struct {
 	// package default. Under Workers > 1 the budget applies per partition.
 	MaxSteps uint64
 	// Workers selects the execution engine. 1 (the default) runs the serial
-	// conch-driven event loop — the path every shipped experiment and golden
-	// uses, byte-for-byte unchanged. Workers > 1 runs the conservative
+	// coroutine-driven event loop — the path every shipped experiment and
+	// golden uses, byte-for-byte unchanged. Workers > 1 runs the conservative
 	// parallel delivery engine (parallel.go): one partition per node, each
 	// with its own event queue, controllers, and network port, advancing in
 	// lookahead windows of the network's minimum cross-node latency, with at
@@ -169,9 +169,8 @@ type Machine struct {
 	plan    *faultinj.Plan
 	fails   []string
 
-	// procs and brks persist across Reset: processors are rebuilt only when
-	// a previous run left their kernel goroutine unhalted (deadlock), so a
-	// pooled machine re-runs without the per-processor construction cost.
+	// procs and brks persist across Reset, so a pooled machine re-runs
+	// without the per-processor construction cost.
 	procs []*cpu.Proc
 	brks  []*stats.Breakdown
 }
@@ -327,10 +326,10 @@ func (m *Machine) Run(prog Program) Result {
 	brks, procs := m.brks, m.procs
 	for i := 0; i < n; i++ {
 		*brks[i] = stats.Breakdown{}
-		if procs[i] != nil && procs[i].Done() {
-			procs[i].Reset(m.cfg.Seed)
-		} else {
+		if procs[i] == nil {
 			procs[i] = cpu.New(i, n, m.q, m.ccs[i], m.barrier, brks[i], m.cfg.Seed)
+		} else {
+			procs[i].Reset(m.cfg.Seed)
 		}
 		if tr := m.cfg.Tracer; tr != nil {
 			i := i
@@ -367,14 +366,10 @@ func (m *Machine) Run(prog Program) Result {
 		procs[i].Start(prog.Kernel)
 	}
 	steps, _ := m.drv.Run()
-	// Join halted kernels before touching processor state: their goroutines
-	// may still be unwinding the drive loop for a few instructions after the
-	// outcome was posted, and a subsequent Reset would race with that.
-	// Deadlocked kernels are parked forever and get rebuilt instead.
+	// Unwind kernels that never halted (deadlock, expired budget) so their
+	// coroutines return to the idle list even if this machine is dropped.
 	for _, p := range procs {
-		if p.Done() {
-			p.Join()
-		}
+		p.Abandon()
 	}
 
 	res := Result{Program: prog.Name(), TotalTime: m.q.Now(), Barriers: m.barrier.Episodes}

@@ -302,9 +302,7 @@ func (m *Machine) runParallel(prog Program) Result {
 		close(pt.windows)
 	}
 	for _, pt := range parts {
-		if pt.proc.Done() {
-			pt.proc.Join()
-		}
+		pt.proc.Abandon()
 	}
 
 	// Assemble the Result exactly as the serial engine does, summing the
