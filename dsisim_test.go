@@ -23,6 +23,25 @@ func TestRunAllProtocolsOnAllWorkloads(t *testing.T) {
 	}
 }
 
+// TestWorkloadsAcrossProcessorCounts runs every workload at test scale under V
+// on processor counts from 1 to 64, non-powers of two included. At 32 and 64
+// processors the 16-row ocean test grid gives some processors no rows at all.
+func TestWorkloadsAcrossProcessorCounts(t *testing.T) {
+	for _, wl := range Workloads() {
+		for _, n := range []int{1, 2, 3, 5, 8, 16, 32, 64} {
+			cfg := Config{Workload: wl, Protocol: V, Processors: n, Scale: ScaleTest}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Errorf("%s/%dp: %v", wl, n, err)
+				continue
+			}
+			if res.ExecTime <= 0 {
+				t.Errorf("%s/%dp: exec time %d", wl, n, res.ExecTime)
+			}
+		}
+	}
+}
+
 func TestUnknownProtocol(t *testing.T) {
 	if _, err := Run(testCfg("em3d", Protocol("bogus"))); err == nil {
 		t.Fatal("unknown protocol accepted")

@@ -3,18 +3,28 @@
 // runs that schedule the same events in the same order produce identical
 // executions regardless of map iteration order or goroutine scheduling.
 //
-// The queue is a hand-specialized 4-ary min-heap in structure-of-arrays
-// layout: the heap proper holds only the 16-byte (time, seq) ordering keys
-// plus a 4-byte payload slot index, while the event bodies (fn/act/arg) live
-// in a stable side pool addressed by slot. Sift-up and sift-down therefore
-// move 20 bytes per level instead of a full 48-byte event record, and the
-// key lane packs three heap entries per cache line. No container/heap, no
-// interface boxing, no per-event allocation. Callers on hot paths use the
-// typed path (AtCall/AfterCall), which dispatches a static Action with a
-// caller-pooled argument instead of a fresh closure; the closure path
-// (At/After) remains for cold call sites. Both paths share one (time, seq)
-// total order, so mixing them cannot perturb determinism.
+// The queue is two-tier. An event due fewer than horizon cycles from now goes
+// into a timing wheel with one FIFO bucket per cycle; a one-bit-per-bucket
+// occupancy bitmap finds the next non-empty bucket, so push and pop are O(1)
+// with no comparisons. Within one time, insertion sequence is insertion
+// order, so a FIFO bucket is already in (time, seq) order. Events due later
+// wait in an overflow 4-ary min-heap keyed by (time, seq) and move into the
+// wheel, in heap order, the moment the clock comes within horizon of them —
+// before anything else can be scheduled directly at their time — so the two
+// tiers together pop in exactly the single-heap total order.
+//
+// Event bodies (fn/act/arg) live in a stable side pool addressed by slot:
+// wheel buckets are circular lists linked through the pool's slots, and the
+// heap holds only the 16-byte (time, seq) ordering keys plus a 4-byte slot
+// index. No container/heap, no interface boxing, no per-event allocation.
+// Callers on hot paths use the typed path (AtCall/AfterCall), which
+// dispatches a static Action with a caller-pooled argument instead of a fresh
+// closure; the closure path (At/After) remains for cold call sites. Both
+// paths share one (time, seq) total order, so mixing them cannot perturb
+// determinism.
 package event
+
+import "math/bits"
 
 // Time is a simulated clock value in processor cycles.
 type Time int64
@@ -29,16 +39,29 @@ type Func func()
 // pooled records let steady-state simulation schedule without any allocation.
 type Action func(arg any)
 
-// key is the ordering lane of one pending event: exactly the 16 bytes the
-// heap compares. The payload lives in the side pool (see Queue.pays).
+// horizon is the timing wheel's span in cycles, one bucket per cycle: an
+// event due fewer than horizon cycles after the clock goes into the wheel,
+// a later one into the overflow heap. It covers the hardened protocol's
+// default retry timeout (proto.DefaultRetry: 8·100+512 = 1312 cycles at the
+// default latency), so under fault injection the retry timers, which cannot
+// be cancelled and mostly fire stale, stay out of the heap too. 2048 is the
+// smallest power of two that does; its bucket tails take 8 KB per queue
+// (DESIGN §5 records the variants measured).
+const horizon = 2048
+
+// wheelMask maps a time to its wheel bucket.
+const wheelMask = horizon - 1
+
+// key is the ordering lane of one overflow-heap entry: exactly the 16 bytes
+// the heap compares. The payload lives in the side pool (see Queue.pays).
 type key struct {
 	at  Time
 	seq uint64
 }
 
 // payload is the dispatch lane of one pending event. Exactly one of fn/act
-// is set. Payloads never move while pending: the heap refers to them by slot
-// index, so sifts touch only the key and slot lanes.
+// is set. Payloads never move while pending: the heap and the wheel refer to
+// them by slot index.
 type payload struct {
 	fn  Func
 	act Action
@@ -60,9 +83,24 @@ type Queue struct {
 	now Time
 	seq uint64
 
-	// The heap, split structure-of-arrays: keys[i]/slots[i] describe one
-	// pending event, ordered as a 4-ary min-heap over (at, seq); pays[slots[i]]
-	// is its body. freeSlots recycles payload slots of executed events.
+	// The wheel holds every pending event due before now+horizon, so each
+	// bucket b holds events of exactly one time (≡ b mod horizon). tail[b]
+	// is 1 + the payload slot of the bucket's last event, 0 when it is
+	// empty. Each bucket is a circular list through links, where
+	// links[s] is the slot after s, so the tail's successor is its head.
+	// occ has one bit per non-empty bucket and occSum one bit per non-zero
+	// occ word. tail is allocated on first use.
+	tail   []int32
+	links  []int32
+	occ    [horizon / 64]uint64
+	occSum uint64
+	wheelN int
+
+	// The overflow heap, split structure-of-arrays: keys[i]/slots[i]
+	// describe one pending event due at or after now+horizon, ordered as a
+	// 4-ary min-heap over (at, seq). pays[slot] is the body of every pending
+	// event, and links grows with it; freeSlots recycles the slots of
+	// executed events.
 	keys      []key
 	slots     []int32
 	pays      []payload
@@ -77,7 +115,7 @@ type Queue struct {
 func (q *Queue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.keys) }
+func (q *Queue) Len() int { return q.wheelN + len(q.keys) }
 
 // Executed returns the total number of events that have run.
 func (q *Queue) Executed() uint64 { return q.ran }
@@ -86,7 +124,7 @@ func (q *Queue) Executed() uint64 { return q.ran }
 // event. Two events are adjacent in the execution order if they share a time
 // and were assigned consecutive sequences with none in between — the
 // condition internal/netsim uses to chain same-(time, dst) deliveries onto
-// one heap entry without reordering anything.
+// one pending event without reordering anything.
 func (q *Queue) LastSeq() uint64 { return q.seq }
 
 // NextAt returns the time of the earliest pending event. ok is false when
@@ -94,10 +132,13 @@ func (q *Queue) LastSeq() uint64 { return q.seq }
 //
 //dsi:hotpath
 func (q *Queue) NextAt() (t Time, ok bool) {
-	if len(q.keys) == 0 {
-		return 0, false
+	if q.wheelN > 0 {
+		return q.bucketTime(q.nextBucket()), true
 	}
-	return q.keys[0].at, true
+	if len(q.keys) > 0 {
+		return q.keys[0].at, true
+	}
+	return 0, false
 }
 
 // Stats returns a snapshot of the kernel counters.
@@ -105,23 +146,28 @@ func (q *Queue) Stats() Stats {
 	return Stats{Executed: q.ran, Scheduled: q.seq, Typed: q.typed, PeakLen: q.peak}
 }
 
-// Reset returns the queue to its zero state (clock 0, empty heap, counters
-// cleared) while keeping every lane's capacity, so a pooled machine reused
-// across experiments starts from a clean ordering state.
+// Reset returns the queue to its zero state (clock 0, empty wheel and heap,
+// counters cleared) while keeping every lane's capacity, so a pooled machine
+// reused across experiments starts from a clean ordering state.
 func (q *Queue) Reset() {
 	clear(q.pays) // drop fn/arg references so recycled queues don't pin them
+	clear(q.tail)
+	q.occ, q.occSum, q.wheelN = [horizon / 64]uint64{}, 0, 0
 	q.keys = q.keys[:0]
 	q.slots = q.slots[:0]
 	q.pays = q.pays[:0]
+	q.links = q.links[:0]
 	q.freeSlots = q.freeSlots[:0]
 	q.now, q.seq, q.ran, q.typed, q.peak = 0, 0, 0, 0, 0
 }
 
-// next allocates the insertion sequence number for an event at time t,
-// validating the schedule time. The sequence is the FIFO tiebreaker for
-// same-time events; if it ever wrapped, ordering between runs would diverge
-// silently, so wraparound is a hard stop.
-func (q *Queue) next(t Time) uint64 {
+// schedule enqueues a body for time t: into the wheel when t is within the
+// horizon, otherwise into the overflow heap. The sequence number is the FIFO
+// tiebreaker for same-time events; if it ever wrapped, ordering between runs
+// would diverge silently, so wraparound is a hard stop.
+//
+//dsi:hotpath
+func (q *Queue) schedule(t Time, fn Func, act Action, arg any) {
 	if t < q.now {
 		panic("event: scheduled in the past")
 	}
@@ -129,7 +175,15 @@ func (q *Queue) next(t Time) uint64 {
 	if q.seq == 0 {
 		panic("event: sequence counter wrapped; Reset the queue between runs")
 	}
-	return q.seq
+	s := q.alloc(fn, act, arg)
+	if t-q.now < horizon {
+		q.link(t, s)
+	} else {
+		q.push(key{at: t, seq: q.seq}, s)
+	}
+	if n := q.Len(); n > q.peak {
+		q.peak = n
+	}
 }
 
 // alloc places a payload in the side pool and returns its slot.
@@ -143,13 +197,14 @@ func (q *Queue) alloc(fn Func, act Action, arg any) int32 {
 		return s
 	}
 	q.pays = append(q.pays, payload{fn: fn, act: act, arg: arg})
+	q.links = append(q.links, 0)
 	return int32(len(q.pays) - 1)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a protocol timing bug, not a recoverable condition.
 func (q *Queue) At(t Time, fn Func) {
-	q.push(key{at: t, seq: q.next(t)}, q.alloc(fn, nil, nil))
+	q.schedule(t, fn, nil, nil)
 }
 
 // After schedules fn to run d cycles from now.
@@ -167,7 +222,7 @@ func (q *Queue) After(d Time, fn Func) {
 //dsi:hotpath
 func (q *Queue) AtCall(t Time, act Action, arg any) {
 	q.typed++
-	q.push(key{at: t, seq: q.next(t)}, q.alloc(nil, act, arg))
+	q.schedule(t, nil, act, arg)
 }
 
 // AfterCall schedules act(arg) d cycles from now (typed path).
@@ -185,11 +240,17 @@ func (q *Queue) AfterCall(d Time, act Action, arg any) {
 //
 //dsi:hotpath
 func (q *Queue) Step() bool {
-	if len(q.keys) == 0 {
-		return false
+	if q.wheelN == 0 {
+		if len(q.keys) == 0 {
+			return false
+		}
+		q.advance(q.keys[0].at)
 	}
-	at, s := q.pop()
-	q.now = at
+	b := q.nextBucket()
+	if at := q.bucketTime(b); at != q.now {
+		q.advance(at)
+	}
+	s := q.unlink(b)
 	q.ran++
 	// Copy the body and release the slot before dispatch: the event may
 	// schedule (and the slot be reused) while it runs.
@@ -214,10 +275,16 @@ func (q *Queue) Run() Time {
 // RunUntil executes events with time ≤ limit. Events scheduled beyond the
 // limit remain queued. It reports whether the queue drained.
 func (q *Queue) RunUntil(limit Time) bool {
-	for len(q.keys) > 0 && q.keys[0].at <= limit {
+	for {
+		t, ok := q.NextAt()
+		if !ok {
+			return true
+		}
+		if t > limit {
+			return false
+		}
 		q.Step()
 	}
-	return len(q.keys) == 0
 }
 
 // RunSteps executes at most n events; it reports how many ran. Useful as a
@@ -232,7 +299,93 @@ func (q *Queue) RunSteps(n uint64) uint64 {
 	return i
 }
 
-// --- 4-ary min-heap -----------------------------------------------------------
+// --- timing wheel ------------------------------------------------------------
+
+// advance moves the clock to t and migrates every overflow event now within
+// the horizon into the wheel. The heap pops in (time, seq) order and every
+// migrated event was scheduled before any event that can be linked directly
+// at its time (that needs the clock within the horizon, which is only now
+// reached), so appending to bucket tails keeps each bucket in seq order.
+//
+//dsi:hotpath
+func (q *Queue) advance(t Time) {
+	q.now = t
+	for len(q.keys) > 0 && q.keys[0].at-t < horizon {
+		at, s := q.pop()
+		q.link(at, s)
+	}
+}
+
+// bucketTime returns the time of the events in bucket b: the one time in
+// [now, now+horizon) that maps to b.
+//
+//dsi:hotpath
+func (q *Queue) bucketTime(b int) Time {
+	return q.now + (Time(b)-q.now)&wheelMask
+}
+
+// nextBucket returns the earliest non-empty bucket: the first set occupancy
+// bit at or after the clock's bucket, wrapping around the ring. The wheel
+// must not be empty.
+//
+//dsi:hotpath
+func (q *Queue) nextBucket() int {
+	p := int(q.now & wheelMask)
+	w := p >> 6
+	if m := q.occ[w] >> (p & 63); m != 0 {
+		return p + bits.TrailingZeros64(m)
+	}
+	// Later words first; failing those, the ring wraps to its lowest word
+	// (which may be w itself, below p).
+	sum := q.occSum &^ (2<<w - 1)
+	if sum == 0 {
+		sum = q.occSum
+	}
+	w = bits.TrailingZeros64(sum)
+	return w<<6 + bits.TrailingZeros64(q.occ[w])
+}
+
+// link appends slot s to the bucket of time t.
+//
+//dsi:hotpath
+func (q *Queue) link(t Time, s int32) {
+	if q.tail == nil {
+		q.tail = make([]int32, horizon)
+	}
+	b := int(t & wheelMask)
+	if last := q.tail[b] - 1; last < 0 {
+		q.links[s] = s
+		q.occ[b>>6] |= 1 << (b & 63)
+		q.occSum |= 1 << (b >> 6)
+	} else {
+		q.links[s] = q.links[last]
+		q.links[last] = s
+	}
+	q.tail[b] = s + 1
+	q.wheelN++
+}
+
+// unlink removes and returns the head slot of non-empty bucket b.
+//
+//dsi:hotpath
+func (q *Queue) unlink(b int) int32 {
+	last := q.tail[b] - 1
+	h := q.links[last]
+	if h == last {
+		q.tail[b] = 0
+		w := b >> 6
+		q.occ[w] &^= 1 << (b & 63)
+		if q.occ[w] == 0 {
+			q.occSum &^= 1 << w
+		}
+	} else {
+		q.links[last] = q.links[h]
+	}
+	q.wheelN--
+	return h
+}
+
+// --- overflow 4-ary min-heap -------------------------------------------------
 //
 // A 4-ary layout halves the tree depth of the binary heap, trading slightly
 // wider sift-down scans for fewer cache-missing levels — the classic d-ary
@@ -240,7 +393,8 @@ func (q *Queue) RunSteps(n uint64) uint64 {
 // access pattern. Ordering is the same (time, seq) total order the binary
 // heap used; since it is total (seq is unique), heap shape cannot affect
 // pop order and results stay bit-exact. The keys/slots lanes move together;
-// payloads stay put.
+// payloads stay put. Only events due beyond the wheel's horizon live here,
+// and they leave only by migration into the wheel (Queue.advance).
 
 // before reports whether a orders strictly before b.
 func before(a, b key) bool {
@@ -254,9 +408,6 @@ func before(a, b key) bool {
 func (q *Queue) push(k key, s int32) {
 	q.keys = append(q.keys, k)
 	q.slots = append(q.slots, s)
-	if len(q.keys) > q.peak {
-		q.peak = len(q.keys)
-	}
 	// Sift up: move the hole toward the root until the parent orders first.
 	ks, sl := q.keys, q.slots
 	i := len(ks) - 1

@@ -242,48 +242,142 @@ func TestSeqWraparoundPanics(t *testing.T) {
 	q.At(1, func() {})
 }
 
-// TestHeapOrderingFuzz drives the 4-ary heap with random interleavings of
-// pushes and pops and checks every pop sequence against a reference sort by
-// (time, seq). This is the heap-shape test: the public ordering properties
-// above can't distinguish a correct heap from one that works only for
-// monotone schedules.
+// fuzzDelay picks a schedule offset from now that exercises both tiers:
+// short delays (the common wheel case), the horizon edges, anything up to
+// three horizons, and points on a coarse absolute grid, so that events at one
+// time are scheduled both while it is beyond the horizon (overflow heap, then
+// migration) and once it is within it (direct wheel insert).
+func fuzzDelay(rng *rand.Rand, now Time) Time {
+	switch rng.Intn(5) {
+	case 0:
+		return Time(rng.Intn(50))
+	case 1:
+		return horizon - 1 + Time(rng.Intn(3))
+	case 2:
+		return Time(rng.Intn(3*horizon + 1))
+	default:
+		const grid = horizon / 4
+		return (now/grid+1+Time(rng.Intn(12)))*grid - now
+	}
+}
+
+// TestHeapOrderingFuzz drives the queue with random interleavings of
+// schedules, steps and RunUntil calls, including schedules made by running
+// events, and checks every pop sequence against a reference sort by (time,
+// seq). Delays span three wheel horizons, so events move between the wheel
+// and the overflow heap; NextAt is checked against the reference minimum
+// before every RunUntil. One queue serves all trials and every other trial
+// ends with events (overflow ones included) still pending, so Reset must
+// discard them: a stale event that ran later would report the wrong trial.
+// The public ordering properties below can't distinguish a correct queue from
+// one that works only for monotone schedules.
 func TestHeapOrderingFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		var q Queue
-		type rec struct {
-			at  Time
-			seq int
-		}
+	type rec struct {
+		trial    int
+		at       Time
+		seq      int
+		overflow bool // scheduled at least horizon ahead
+	}
+	var q Queue
+	var current, overflowOnlyPeeks, mixedTimes int
+	for trial := 0; trial < 300; trial++ {
+		q.Reset()
+		current = trial
 		var scheduled, popped []rec
+		pending := map[int]Time{}
 		n := 0
-		for op := 0; op < 400; op++ {
-			if q.Len() > 0 && rng.Intn(3) == 0 {
-				q.Step() // pops the minimum and runs its closure
-				continue
-			}
-			at := q.Now() + Time(rng.Intn(50))
-			r := rec{at, n}
+		var schedule func()
+		schedule = func() {
+			at := q.Now() + fuzzDelay(rng, q.Now())
+			r := rec{trial, at, n, at-q.Now() >= horizon}
 			n++
 			scheduled = append(scheduled, r)
-			q.At(at, func() { popped = append(popped, r) })
+			pending[r.seq] = at
+			q.At(at, func() {
+				if r.trial != current {
+					t.Fatalf("trial %d ran an event of trial %d (survived Reset)", current, r.trial)
+				}
+				if q.Now() != r.at {
+					t.Fatalf("trial %d: event for %d ran at %d", trial, r.at, q.Now())
+				}
+				popped = append(popped, r)
+				delete(pending, r.seq)
+				if n < 800 && rng.Intn(4) == 0 {
+					schedule()
+				}
+			})
 		}
-		q.Run()
+		for op := 0; op < 400; op++ {
+			switch {
+			case q.Len() > 0 && rng.Intn(3) == 0:
+				q.Step() // pops the minimum and runs its closure
+			case q.Len() > 0 && rng.Intn(8) == 0:
+				want, found := Time(-1), false
+				for _, at := range pending {
+					if !found || at < want {
+						want, found = at, true
+					}
+				}
+				if got, ok := q.NextAt(); !ok || got != want {
+					t.Fatalf("trial %d: NextAt = (%d, %v), reference minimum %d", trial, got, ok, want)
+				}
+				if q.wheelN == 0 {
+					overflowOnlyPeeks++
+				}
+				limit := q.Now() + fuzzDelay(rng, q.Now())
+				if drained := q.RunUntil(limit); drained != (q.Len() == 0) {
+					t.Fatalf("trial %d: RunUntil(%d) = %v with %d pending", trial, limit, drained, q.Len())
+				}
+				if at, ok := q.NextAt(); ok && at <= limit {
+					t.Fatalf("trial %d: RunUntil(%d) left an event at %d", trial, limit, at)
+				}
+			default:
+				schedule()
+			}
+		}
+		if trial%2 == 0 {
+			q.Run()
+			if _, ok := q.NextAt(); ok || q.Len() != 0 {
+				t.Fatalf("trial %d: queue not empty after Run", trial)
+			}
+		}
 		sort.Slice(scheduled, func(i, j int) bool {
 			if scheduled[i].at != scheduled[j].at {
 				return scheduled[i].at < scheduled[j].at
 			}
 			return scheduled[i].seq < scheduled[j].seq
 		})
-		if len(popped) != len(scheduled) {
-			t.Fatalf("trial %d: popped %d of %d events", trial, len(popped), len(scheduled))
+		if len(popped)+q.Len() != len(scheduled) {
+			t.Fatalf("trial %d: popped %d + pending %d of %d events",
+				trial, len(popped), q.Len(), len(scheduled))
 		}
-		for i := range scheduled {
+		for i := range popped {
 			if popped[i] != scheduled[i] {
 				t.Fatalf("trial %d: pop %d = %+v, reference sort has %+v",
 					trial, i, popped[i], scheduled[i])
 			}
 		}
+		paths := map[Time][2]bool{}
+		for _, r := range popped {
+			p := paths[r.at]
+			if r.overflow {
+				p[0] = true
+			} else {
+				p[1] = true
+			}
+			paths[r.at] = p
+		}
+		for _, p := range paths {
+			if p[0] && p[1] {
+				mixedTimes++
+			}
+		}
+	}
+	// The fuzz must actually reach the cases it exists for.
+	if overflowOnlyPeeks == 0 || mixedTimes == 0 {
+		t.Fatalf("coverage: %d NextAt peeks with only overflow events pending, %d times reached by both migration and direct insert",
+			overflowOnlyPeeks, mixedTimes)
 	}
 }
 
@@ -371,38 +465,59 @@ func TestNextAtAndLastSeq(t *testing.T) {
 }
 
 // Property: events run in nondecreasing time order, and same-time events run
-// in insertion order.
+// in insertion order. The first half of the input is scheduled up front, the
+// rest by the events as they run; delays reach three wheel horizons and hit
+// its edges, so same-time events arrive both through the overflow heap and
+// directly into the wheel.
 func TestQueueOrderingProperty(t *testing.T) {
-	f := func(times []uint8) bool {
+	delay := func(v uint16, now Time) Time {
+		switch v % 4 {
+		case 0:
+			return Time(v>>2) % 32
+		case 1:
+			return horizon - 1 + Time(v>>2)%3
+		case 2:
+			return Time(v>>2) % (3*horizon + 1)
+		default: // a coarse absolute grid: frequent same-time arrivals
+			const grid = horizon / 4
+			return (now/grid+1+Time(v>>2)%12)*grid - now
+		}
+	}
+	f := func(delays []uint16) bool {
 		var q Queue
 		type rec struct {
 			at  Time
 			seq int
 		}
 		var got []rec
-		for i, tt := range times {
-			i, at := i, Time(tt%32)
-			q.At(at, func() { got = append(got, rec{at, i}) })
+		seq := 0
+		var schedule func(i int)
+		schedule = func(i int) {
+			r := rec{q.Now() + delay(delays[i], q.Now()), seq}
+			seq++
+			q.At(r.at, func() {
+				got = append(got, r)
+				if j := len(delays)/2 + len(got) - 1; j < len(delays) {
+					schedule(j)
+				}
+			})
+		}
+		for i := 0; i < len(delays)/2; i++ {
+			schedule(i)
 		}
 		q.Run()
-		if len(got) != len(times) {
+		if len(got) != seq {
 			return false
 		}
-		seen := make(map[Time]int)
 		for i := 1; i < len(got); i++ {
-			if got[i].at < got[i-1].at {
+			a, b := got[i-1], got[i]
+			if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
 				return false
 			}
-		}
-		for _, r := range got {
-			if last, ok := seen[r.at]; ok && r.seq < last {
-				return false
-			}
-			seen[r.at] = r.seq
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -247,7 +247,7 @@ func (m *Machine) Reusable(cfg Config) bool {
 }
 
 // Reset rewinds the machine to a just-assembled state under cfg, keeping
-// every structural allocation: the event queue's heap, the network's
+// every structural allocation: the event queue's lanes, the network's
 // interfaces and delivery pool, the controllers' block tables and record
 // free lists, the cache arrays, and the address-space allocator. What is
 // cleared: all simulated time, traffic counters, cache and directory

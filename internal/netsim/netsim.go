@@ -285,7 +285,7 @@ type Network struct {
 	// other event has been scheduled since (chainSeq matches the queue's
 	// LastSeq) and the arrival time matches. Consecutive sequences at one time
 	// are adjacent in the execution order, so draining the chain from a single
-	// heap entry delivers every message at exactly the position its own event
+	// queued event delivers every message at exactly the position its own event
 	// would have had — batching is invisible to simulated results.
 	chainTo     *delivery
 	chainArrive event.Time
@@ -296,7 +296,7 @@ type Network struct {
 
 // delivery is a pooled in-flight message record: the typed event argument
 // that replaces a per-send closure. A record carries one message plus any
-// batch of later messages chained onto the same (time, dst) heap entry.
+// batch of later messages chained onto the same (time, dst) queued event.
 type delivery struct {
 	net  *Network
 	msg  Message
@@ -305,7 +305,7 @@ type delivery struct {
 
 // deliver is the static delivery action shared by every in-flight message.
 // It drains the record's whole chain — head message first, then the batch in
-// send order — before recycling the record, amortizing one heap pop and one
+// send order — before recycling the record, amortizing one queue pop and one
 // event dispatch across the batch.
 //
 //dsi:hotpath
@@ -501,7 +501,7 @@ func (n *Network) Send(m Message) event.Time {
 // sched schedules delivery of m at arrive and notifies the observer. When m
 // is provably adjacent to the previously scheduled delivery — same arrival
 // time, same destination, and no event scheduled in between — it is chained
-// onto that record instead of costing its own heap entry; see delivery.
+// onto that record instead of costing its own queued event; see delivery.
 //
 //dsi:hotpath
 func (n *Network) sched(m Message, now, arrive event.Time) {
@@ -525,7 +525,7 @@ func (n *Network) sched(m Message, now, arrive event.Time) {
 	n.chainTo, n.chainArrive, n.chainDst, n.chainSeq = d, arrive, m.Dst, n.q.LastSeq()
 }
 
-// Batched returns the number of deliveries that rode an existing heap entry
+// Batched returns the number of deliveries that rode an existing queued event
 // instead of scheduling their own (see sched), for kernel observability.
 func (n *Network) Batched() uint64 { return n.batched }
 

@@ -210,7 +210,7 @@ func TestPairwiseFIFOProperty(t *testing.T) {
 
 // TestBatchedLocalBurst pins the delivery-chaining fast path: back-to-back
 // local sends to one destination within a single event share an arrival time
-// and consecutive sequences, so they coalesce onto one heap entry — and
+// and consecutive sequences, so they coalesce onto one queued event — and
 // still deliver in send order at the right time.
 func TestBatchedLocalBurst(t *testing.T) {
 	q, n, got := newNet(t, 2, 100)
@@ -229,7 +229,7 @@ func TestBatchedLocalBurst(t *testing.T) {
 		}
 	}
 	if n.Batched() != 4 {
-		t.Fatalf("Batched = %d, want 4 (one heap entry, four chained)", n.Batched())
+		t.Fatalf("Batched = %d, want 4 (one queued event, four chained)", n.Batched())
 	}
 	if n.InFlight() != 0 {
 		t.Fatalf("inflight = %d after drain", n.InFlight())
@@ -280,7 +280,7 @@ func TestBatchingDifferentDestinationsNotChained(t *testing.T) {
 // BenchmarkBatchDelivery measures the burst-delivery path the chaining
 // optimization targets: each iteration schedules a burst of local
 // notifications (the self-invalidation pattern at synchronization points)
-// and drains them. The batch rides one heap entry instead of eight.
+// and drains them. The batch rides one queued event instead of eight.
 func BenchmarkBatchDelivery(b *testing.B) {
 	q := &event.Queue{}
 	n := New(q, Config{Nodes: 1, Latency: 100})

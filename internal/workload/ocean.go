@@ -96,21 +96,25 @@ func (w *Ocean) Kernel(p *Proc) {
 		// be old or new (no assertions); the point is the conflict timing —
 		// each rewrite must invalidate the neighbor's fresh copy inside the
 		// phase, where self-invalidation (which runs at sync points) cannot
-		// have removed it.
+		// have removed it. With more processors than rows some partitions
+		// are empty: their owners have no edge and skip the exchange, and a
+		// partition's neighbour reads stop at the grid's first and last rows.
 		for round := 0; round < w.P.RelaxedRounds; round++ {
-			if p.ID()+1 < p.N() {
-				for c := 0; c < n; c++ {
-					p.Read(w.grid.At(w.at(rhi, c)))
+			if rlo < rhi {
+				if rhi < n {
+					for c := 0; c < n; c++ {
+						p.Read(w.grid.At(w.at(rhi, c)))
+					}
 				}
-			}
-			if p.ID() > 0 {
-				for c := 0; c < n; c++ {
-					p.Read(w.grid.At(w.at(rlo-1, c)))
+				if rlo > 0 {
+					for c := 0; c < n; c++ {
+						p.Read(w.grid.At(w.at(rlo-1, c)))
+					}
 				}
-			}
-			for c := 0; c < n; c++ {
-				p.WriteWord(w.grid.At(w.at(rlo, c)), uint64(2*t+2))
-				p.WriteWord(w.grid.At(w.at(rhi-1, c)), uint64(2*t+2))
+				for c := 0; c < n; c++ {
+					p.WriteWord(w.grid.At(w.at(rlo, c)), uint64(2*t+2))
+					p.WriteWord(w.grid.At(w.at(rhi-1, c)), uint64(2*t+2))
+				}
 			}
 			p.Compute(w.P.ComputePerCell * int64(n/2))
 		}
