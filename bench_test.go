@@ -237,11 +237,11 @@ func BenchmarkAblationLimitedDirectory(b *testing.B) {
 
 // --- simulator micro-benchmarks ----------------------------------------------
 
-// The four benchstat-ready kernel benchmarks below (BenchmarkEventQueue,
-// BenchmarkEventQueueTimers, BenchmarkNetworkDelivery, BenchmarkRunOne)
-// report allocations so that a
+// The five benchstat-ready kernel benchmarks below (BenchmarkEventQueue,
+// BenchmarkEventQueueTimers, BenchmarkNetworkDelivery, BenchmarkRunOne,
+// BenchmarkRunOneLockConvoy) report allocations so that a
 //
-//	go test -run=NONE -bench='EventQueue$|EventQueueTimers$|NetworkDelivery$|RunOne$' -count=10
+//	go test -run=NONE -bench='EventQueue$|EventQueueTimers$|NetworkDelivery$|RunOne$|RunOneLockConvoy$' -count=10
 //
 // pair of runs before and after a kernel change benchstats cleanly. README.md
 // §Performance records the current numbers.
@@ -313,6 +313,25 @@ func BenchmarkNetworkDelivery(b *testing.B) {
 func BenchmarkRunOne(b *testing.B) {
 	b.ReportAllocs()
 	cfg := Config{Workload: "em3d", Scale: ScaleTest, Protocol: V, Processors: 8}
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = res.Kernel.Events
+	}
+	b.ReportMetric(float64(events), "events/op")
+}
+
+// BenchmarkRunOneLockConvoy is BenchmarkRunOne on the invalidation-heavy
+// message path: lockconvoy under SC on the paper's 32 processors at test
+// scale, every processor queued on one lock whose payload migrates with
+// ownership, so nearly every access is a miss that opens a directory
+// transaction and invalidates the previous owner.
+func BenchmarkRunOneLockConvoy(b *testing.B) {
+	b.ReportAllocs()
+	cfg := Config{Workload: "lockconvoy", Scale: ScaleTest, Protocol: SC, Processors: 32}
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		res, err := Run(cfg)

@@ -33,10 +33,12 @@
 package dsisim
 
 import (
+	"errors"
 	"fmt"
 
 	"dsisim/internal/core"
 	"dsisim/internal/cpu"
+	"dsisim/internal/directory"
 	"dsisim/internal/event"
 	"dsisim/internal/faultinj"
 	"dsisim/internal/machine"
@@ -303,6 +305,30 @@ func Workloads() []string { return workload.Names() }
 // PaperWorkloads lists the five Table 1 applications.
 func PaperWorkloads() []string { return workload.PaperNames() }
 
+// ErrBadConfig is wrapped by the error Run and RunProgram return, before any
+// machine is built, for a Config whose machine parameters describe no
+// machine: a processor count outside 1..64, a cache that is not a whole
+// number of sets of CacheAssoc 32-byte blocks, or a negative network
+// latency. Match it with errors.Is.
+var ErrBadConfig = errors.New("dsisim: bad machine configuration")
+
+// checkMachine refuses machine parameters the simulator cannot model, after
+// filling in their defaults.
+func checkMachine(mc machine.Config) error {
+	mc = mc.Defaults()
+	if mc.Processors < 1 || mc.Processors > directory.MaxNodes {
+		return fmt.Errorf("%w: Processors %d outside 1..%d", ErrBadConfig, mc.Processors, directory.MaxNodes)
+	}
+	if set := mem.BlockSize * mc.CacheAssoc; mc.CacheAssoc < 1 || mc.CacheBytes < set || mc.CacheBytes%set != 0 {
+		return fmt.Errorf("%w: CacheBytes %d is not a whole number of %d-way sets of %d-byte blocks",
+			ErrBadConfig, mc.CacheBytes, mc.CacheAssoc, mem.BlockSize)
+	}
+	if mc.NetworkLatency < 0 {
+		return fmt.Errorf("%w: NetworkLatency %d is negative", ErrBadConfig, mc.NetworkLatency)
+	}
+	return nil
+}
+
 func (c Config) machineConfig() (machine.Config, error) {
 	p := c.Protocol
 	if p == "" {
@@ -327,7 +353,9 @@ func (c Config) machineConfig() (machine.Config, error) {
 	}, nil
 }
 
-// Run simulates the named built-in workload under cfg.
+// Run simulates the named built-in workload under cfg. A Config whose
+// machine parameters describe no machine returns an error matching
+// ErrBadConfig.
 func Run(cfg Config) (Result, error) {
 	if cfg.Workload == "" {
 		return Result{}, fmt.Errorf("dsisim: Config.Workload is empty (use RunProgram for custom programs)")
@@ -378,10 +406,17 @@ func runUncached(cfg Config) (Result, error) {
 var pool machine.Pool
 
 // RunProgram simulates a custom program under cfg. Programs are single-use;
-// the machine that runs one is drawn from an internal pool and recycled.
+// the machine that runs one is drawn from an internal pool and recycled. A
+// Config whose machine parameters describe no machine returns an error
+// matching ErrBadConfig.
 func RunProgram(cfg Config, prog Program) (Result, error) {
 	mc, err := cfg.machineConfig()
 	if err != nil {
+		return Result{}, err
+	}
+	// A result cache stores only runs that succeeded, so Run's cache hits,
+	// which never get here, need no check either.
+	if err := checkMachine(mc); err != nil {
 		return Result{}, err
 	}
 	m := pool.Get(mc)

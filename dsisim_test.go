@@ -1,6 +1,7 @@
 package dsisim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,53 @@ func TestWorkloadsAcrossProcessorCounts(t *testing.T) {
 func TestUnknownProtocol(t *testing.T) {
 	if _, err := Run(testCfg("em3d", Protocol("bogus"))); err == nil {
 		t.Fatal("unknown protocol accepted")
+	}
+}
+
+// TestBadMachineConfigRefused pins that machine parameters describing no
+// machine come back from Run and RunProgram as ErrBadConfig instead of
+// panicking inside machine assembly, and that the smallest legal cache
+// still runs.
+func TestBadMachineConfigRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		bad  bool
+	}{
+		{"negative processors", Config{Processors: -1}, true},
+		{"too many processors", Config{Processors: 65}, true},
+		{"cache not whole sets", Config{CacheBytes: 1000}, true},
+		{"3-way default cache", Config{CacheAssoc: 3}, true},
+		{"negative latency", Config{NetworkLatency: -5}, true},
+		{"one direct-mapped block", Config{CacheBytes: BlockSize, CacheAssoc: 1}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workload, cfg.Scale, cfg.Protocol = "em3d", ScaleTest, V
+			if cfg.Processors == 0 {
+				cfg.Processors = 4
+			}
+			_, err := Run(cfg)
+			_, perr := RunProgram(cfg, &pingPong{})
+			if tc.bad {
+				for _, e := range []error{err, perr} {
+					if !errors.Is(e, ErrBadConfig) {
+						t.Errorf("error %v, want ErrBadConfig", e)
+					}
+				}
+				return
+			}
+			if err != nil || perr != nil {
+				t.Fatalf("valid config refused: Run %v, RunProgram %v", err, perr)
+			}
+		})
+	}
+	// The cached path refuses too: a bad config never reaches the machine
+	// and, failing, is never stored.
+	cfg := testCfg("em3d", V)
+	cfg.CacheAssoc, cfg.Cache = 3, NewResultCache(1<<20)
+	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("cached run: error %v, want ErrBadConfig", err)
 	}
 }
 

@@ -51,8 +51,9 @@ const (
 // terminal error paths must register here. The declaration should still
 // carry the //dsi:coldpath comment for readers and same-package call sites.
 var ColdFuncs = map[string]bool{
-	// The workload kernels' panic-or-record assertion.
+	// The workload kernels' assertion and its unconditional form.
 	"(*dsisim/internal/cpu.Proc).Assert": true,
+	"(*dsisim/internal/cpu.Proc).Failf":  true,
 }
 
 // Directives is the per-package index of //dsi: annotations.

@@ -21,9 +21,14 @@
 //     map: every access hashes the key, and map ranges have randomized order
 //     besides; hot paths index dense tables (internal/blockmap) instead.
 //
-// Terminal error paths are exempt: the arguments of panic(...) and of calls
-// to //dsi:coldpath functions (proto.Env.fail) are not inspected, since a
-// simulation that is crashing may allocate freely.
+// Terminal error paths are exempt, since a simulation that is crashing may
+// allocate freely: the arguments of panic(...) are never inspected, and the
+// arguments of a call to a //dsi:coldpath function (proto.Env.fail,
+// cpu.Proc.Failf) are not inspected when the call sits inside an if, switch,
+// or select arm. Unlike panic's, a coldpath call's arguments are evaluated —
+// and boxed into its ...any — before the call, whether or not it fails; an
+// unguarded call such as p.Assert(ok, "word %d", w) pays that on every
+// pass, so its arguments are checked like any other call's.
 package hotpath
 
 import (
@@ -127,39 +132,91 @@ type checker struct {
 }
 
 func (c *checker) walk(n ast.Node) {
+	// stack holds the ancestors of the node being visited: Inspect calls the
+	// visitor with nil when it leaves a node it descended into.
+	var stack []ast.Node
 	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			c.pass.Reportf(n.Pos(),
-				"closure in hot path; use the typed event path with a pooled record instead")
-			return false // don't double-report the closure's own body
-		case *ast.CallExpr:
-			if analysis.IsColdCall(c.pass.TypesInfo, c.pass.Directives, n) {
-				return false // terminal error path; arguments are exempt
-			}
-			c.checkCall(n)
-		case *ast.IndexExpr:
-			if t := c.pass.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					c.pass.Reportf(n.Pos(),
-						"map index in hot path; use a dense block table (internal/blockmap) instead")
-				}
-			}
-		case *ast.RangeStmt:
-			if t := c.pass.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					c.pass.Reportf(n.X.Pos(),
-						"range over map in hot path; iterate a dense block table (internal/blockmap) instead")
-				}
-			}
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return false
 		}
+		if !c.visit(n, stack) {
+			return false
+		}
+		stack = append(stack, n)
 		return true
 	})
 }
 
+// visit checks one node given its ancestors and reports whether to descend.
+func (c *checker) visit(n ast.Node, stack []ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.FuncLit:
+		c.pass.Reportf(n.Pos(),
+			"closure in hot path; use the typed event path with a pooled record instead")
+		return false // don't double-report the closure's own body
+	case *ast.CallExpr:
+		if analysis.IsColdCall(c.pass.TypesInfo, c.pass.Directives, n) {
+			if isPanic(c.pass.TypesInfo, n) || inBranchArm(stack) {
+				return false // terminal error path; arguments are exempt
+			}
+			c.checkCall(n, true)
+			return true
+		}
+		c.checkCall(n, false)
+	case *ast.IndexExpr:
+		if t := c.pass.TypeOf(n.X); t != nil {
+			if _, ok := t.Underlying().(*types.Map); ok {
+				c.pass.Reportf(n.Pos(),
+					"map index in hot path; use a dense block table (internal/blockmap) instead")
+			}
+		}
+	case *ast.RangeStmt:
+		if t := c.pass.TypeOf(n.X); t != nil {
+			if _, ok := t.Underlying().(*types.Map); ok {
+				c.pass.Reportf(n.X.Pos(),
+					"range over map in hot path; iterate a dense block table (internal/blockmap) instead")
+			}
+		}
+	}
+	return true
+}
+
+// isPanic reports whether call is the builtin panic.
+func isPanic(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "panic"
+}
+
+// inBranchArm reports whether a node with these ancestors runs only when a
+// branch is taken: it sits in the body or else block of an if, or in a case
+// of a switch, type switch, or select. An if's condition and init statement,
+// and a switch's tag, are not arms.
+func inBranchArm(stack []ast.Node) bool {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch stack[i].(type) {
+		case *ast.CaseClause, *ast.CommClause:
+			return true
+		case *ast.BlockStmt:
+			if i > 0 {
+				if _, ok := stack[i-1].(*ast.IfStmt); ok {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // checkCall flags fmt calls, implicit boxing at argument positions, explicit
-// interface conversions, and un-capped appends.
-func (c *checker) checkCall(call *ast.CallExpr) {
+// interface conversions, and un-capped appends. unguardedCold marks a
+// //dsi:coldpath call outside any branch arm, whose boxing findings say how
+// to exempt it.
+func (c *checker) checkCall(call *ast.CallExpr, unguardedCold bool) {
 	info := c.pass.TypesInfo
 	fun := ast.Unparen(call.Fun)
 
@@ -219,8 +276,11 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 			continue
 		}
 		if boxes(at) {
-			c.pass.Reportf(arg.Pos(),
-				"passing %s as %s boxes in hot path (pass a pointer-shaped value)", at, pt)
+			hint := "pass a pointer-shaped value"
+			if unguardedCold {
+				hint = "the coldpath call boxes its arguments on every pass; call it inside an if, switch, or select arm"
+			}
+			c.pass.Reportf(arg.Pos(), "passing %s as %s boxes in hot path (%s)", at, pt, hint)
 		}
 	}
 }

@@ -54,8 +54,50 @@ func crossFileColdExempt(t *table, k int) {
 
 //dsi:hotpath
 func crossPkgColdExempt(p *cpu.Proc, v uint64) {
-	// cpu.Proc.Assert is annotated //dsi:coldpath in its own package, which
+	// cpu.Proc.Failf is annotated //dsi:coldpath in its own package, which
 	// this package's directive harvest cannot see; the ColdFuncs registry
-	// must exempt the call (and its boxing variadic arguments) anyway.
-	p.Assert(v == 0, "val %d", v) // ok: registered cross-package coldpath
+	// must exempt the guarded call (and its boxing variadic arguments)
+	// anyway.
+	if v != 0 {
+		p.Failf("val %d", v) // ok: registered cross-package coldpath in an if arm
+	}
+}
+
+//dsi:hotpath
+func crossPkgColdUnguarded(p *cpu.Proc, v uint64) {
+	// Assert's arguments are boxed before the call on every pass, failing
+	// or not: only a call inside a branch arm is a terminal error path.
+	p.Assert(v == 0, "val %d", v)   // want `passing uint64 as any boxes in hot path \(the coldpath call boxes its arguments on every pass`
+	p.Assert(v == 0, "no operands") // ok: nothing to box
+	p.Failf("val %d", &v)           // ok: pointer-shaped operand
+}
+
+//dsi:hotpath
+func coldInArms(p *cpu.Proc, v uint64, ch chan int) {
+	switch v {
+	case 1:
+		p.Failf("one %d", v) // ok: switch arm
+	}
+	switch x := any(&v).(type) {
+	case *uint64:
+		p.Failf("ptr %d", *x) // ok: type-switch arm
+	}
+	select {
+	case n := <-ch:
+		p.Failf("recv %d", n) // ok: select arm
+	default:
+	}
+	if v == 2 {
+	} else {
+		p.Failf("else %d", v) // ok: else block
+	}
+	for i := uint64(0); i < v; i++ {
+		if i == 3 {
+			p.Failf("loop %d", i) // ok: if arm inside a loop
+		}
+		p.Failf("loop %d", i) // want `passing uint64 as any boxes in hot path \(the coldpath call`
+	}
+	if p.Failf("cond %d", v); v == 4 { // want `passing uint64 as any boxes in hot path \(the coldpath call`
+	}
+	panic(fmt.Sprintf("val %d", v)) // ok: panic arguments are exempt anywhere
 }

@@ -135,3 +135,47 @@ func TestGoldenStable(t *testing.T) {
 		t.Fatal("parsed golden missing a controller table")
 	}
 }
+
+// TestPointerLiteralSendsRecorded pins that sends built as pointer literals —
+// dc.send(&netsim.Message{Kind: …}), the shape every controller send helper
+// takes — record their kinds. An evaluator that treats &T{…} as unknown
+// drops these kind sets silently, leaving handled transitions that appear
+// to send nothing.
+func TestPointerLiteralSendsRecorded(t *testing.T) {
+	p := loadProto(t)
+	model, _ := ExtractPackage(p)
+	if model == nil {
+		t.Fatal("no model extracted")
+	}
+	for _, tc := range []struct {
+		ctrl, trigger, state string
+		want                 []string
+	}{
+		// processRead: the Recall to the owner, sent while openTxn records
+		// the transaction built by newTxn(&txn{…}).
+		{"dir", "GetS", "Exclusive", []string{"Recall"}},
+		// processRead's immediate grant from home memory.
+		{"dir", "GetS", "Idle", []string{"DataS"}},
+		// onInv's acknowledgments.
+		{"cache", "Inv", "Shared", []string{"InvAck"}},
+		{"cache", "Inv", "Exclusive", []string{"InvAckData"}},
+	} {
+		c := model.Controller(tc.ctrl)
+		if c == nil {
+			t.Fatalf("no %s controller", tc.ctrl)
+		}
+		tr := c.Lookup(tc.trigger, tc.state)
+		if tr == nil {
+			t.Fatalf("%s: no transition (%s, %s)", tc.ctrl, tc.trigger, tc.state)
+		}
+		sends := make(map[string]bool, len(tr.Sends))
+		for _, s := range tr.Sends {
+			sends[s] = true
+		}
+		for _, k := range tc.want {
+			if !sends[k] {
+				t.Errorf("%s (%s, %s): sends %v, missing %s", tc.ctrl, tc.trigger, tc.state, tr.Sends, k)
+			}
+		}
+	}
+}

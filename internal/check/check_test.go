@@ -27,9 +27,9 @@ func build(t *testing.T) ([]*proto.CacheCtrl, []*proto.DirCtrl) {
 		net.SetHandler(i, func(m netsim.Message) {
 			switch m.Kind {
 			case netsim.Inv, netsim.Recall, netsim.DataS, netsim.DataX, netsim.AckX, netsim.FinalAck:
-				cc.Handle(m)
+				cc.Handle(&m)
 			default:
-				dc.Handle(m)
+				dc.Handle(&m)
 			}
 		})
 		ccs = append(ccs, cc)
@@ -37,9 +37,9 @@ func build(t *testing.T) ([]*proto.CacheCtrl, []*proto.DirCtrl) {
 	}
 	// Legitimate traffic: node 0 reads a block homed at node 1, node 2
 	// writes another.
-	q.At(0, func() { ccs[0].Read(mem.Addr(1*mem.BlockSize), func(proto.Result) {}) })
+	q.At(0, func() { ccs[0].Read(mem.Addr(1*mem.BlockSize), func(*proto.Result) {}) })
 	q.At(0, func() {
-		ccs[2].Write(mem.Addr(2*mem.BlockSize), proto.Store{Writer: 2, Seq: 1}, func(proto.Result) {})
+		ccs[2].Write(mem.Addr(2*mem.BlockSize), proto.Store{Writer: 2, Seq: 1}, func(*proto.Result) {})
 	})
 	q.Run()
 	return ccs, dcs

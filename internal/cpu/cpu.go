@@ -118,8 +118,8 @@ type Proc struct {
 
 	// Continuations bound once at construction so issuing an operation
 	// allocates nothing.
-	contRead, contWrite, contSwap, contUnlockWrite func(proto.Result)
-	contFlushed                                    func(proto.Result)
+	contRead, contWrite, contSwap, contUnlockWrite func(*proto.Result)
+	contFlushed                                    func(*proto.Result)
 	contSwapDrained, contUnlockDrained             func()
 	contBarrierDrained, contBarrierFlushed         func()
 	contBarrierReleased, contFinishResp            func()
@@ -447,13 +447,28 @@ func (p *Proc) Barrier() {
 }
 
 // Assert aborts the kernel with a diagnostic if cond is false; the failure
-// surfaces as a run error. Use it for workload-level data-flow checks.
+// surfaces as a run error. Use it for one-off workload-level data-flow
+// checks. Go boxes the arguments before every call, whether or not cond
+// fails, and a word of 256 or more costs a heap allocation, so a check that
+// runs once per loop iteration guards a Failf instead:
+//
+//	if v.Word != want {
+//		p.Failf("block %d word %d, want %d", b, v.Word, want)
+//	}
 //
 //dsi:coldpath
 func (p *Proc) Assert(cond bool, format string, args ...any) {
 	if !cond {
-		panic(fmt.Sprintf("proc %d assertion failed: %s", p.id, fmt.Sprintf(format, args...)))
+		p.Failf(format, args...)
 	}
+}
+
+// Failf aborts the kernel with a diagnostic; the failure surfaces as a run
+// error, worded as an Assert failure.
+//
+//dsi:coldpath
+func (p *Proc) Failf(format string, args ...any) {
+	panic(fmt.Sprintf("proc %d assertion failed: %s", p.id, fmt.Sprintf(format, args...)))
 }
 
 // --- driver side -------------------------------------------------------------
@@ -591,7 +606,7 @@ func (p *Proc) finishResp() { p.finish(p.pending) }
 // onFlushFinish completes a standalone flush request.
 func (p *Proc) onFlushFinish() { p.finish(response{}) }
 
-func (p *Proc) chargeRead(start event.Time, res proto.Result, sync bool) {
+func (p *Proc) chargeRead(start event.Time, res *proto.Result, sync bool) {
 	stall := int64(res.Done - start)
 	switch {
 	case sync:
@@ -609,7 +624,7 @@ func (p *Proc) chargeRead(start event.Time, res proto.Result, sync bool) {
 }
 
 // onRead completes a load (contRead).
-func (p *Proc) onRead(res proto.Result) {
+func (p *Proc) onRead(res *proto.Result) {
 	p.chargeRead(p.start, res, p.r.sync)
 	p.finish(response{value: loaded(res.Value, p.r.addr)})
 }
@@ -625,7 +640,7 @@ func (p *Proc) token(word uint64) proto.Store {
 }
 
 // onWrite completes a store (contWrite).
-func (p *Proc) onWrite(res proto.Result) {
+func (p *Proc) onWrite(res *proto.Result) {
 	stall := int64(res.Done - p.start)
 	switch {
 	case p.r.sync:
@@ -656,7 +671,7 @@ func (p *Proc) onSwapDrained() {
 }
 
 // onSwap completes the swap access and runs the trailing flush (contSwap).
-func (p *Proc) onSwap(res proto.Result) {
+func (p *Proc) onSwap(res *proto.Result) {
 	if p.r.sync {
 		p.brk.Add(stats.Sync, int64(res.Done-p.drained))
 	} else {
@@ -685,7 +700,7 @@ func (p *Proc) onUnlockDrained() {
 }
 
 // onUnlockWrite completes the releasing store and flushes (contUnlockWrite).
-func (p *Proc) onUnlockWrite(res proto.Result) {
+func (p *Proc) onUnlockWrite(res *proto.Result) {
 	p.brk.Add(stats.Sync, int64(res.Done-p.drained))
 	p.flushThen(p.contFlushFinish)
 }
@@ -717,7 +732,7 @@ func (p *Proc) flushThen(cont func()) {
 }
 
 // onFlushed charges the flush stall and continues (contFlushed).
-func (p *Proc) onFlushed(res proto.Result) {
+func (p *Proc) onFlushed(res *proto.Result) {
 	p.brk.Add(stats.DSIStall, int64(res.Done-p.flushStart))
 	next := p.flushNext
 	p.flushNext = nil

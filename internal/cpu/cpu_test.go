@@ -38,9 +38,9 @@ func newHarness(t *testing.T, nprocs int, cons proto.Consistency) ([]*Proc, *har
 		net.SetHandler(i, func(m netsim.Message) {
 			switch m.Kind {
 			case netsim.Inv, netsim.Recall, netsim.DataS, netsim.DataX, netsim.AckX, netsim.FinalAck:
-				cc.Handle(m)
+				cc.Handle(&m)
 			default:
-				dc.Handle(m)
+				dc.Handle(&m)
 			}
 		})
 		brk := &stats.Breakdown{}

@@ -18,9 +18,12 @@ import (
 	"dsisim/internal/mem"
 )
 
-// NodeSet is a full-map sharer bit vector (up to 64 nodes, the paper
+// NodeSet is a full-map sharer bit vector (up to MaxNodes nodes, the paper
 // simulates 32).
 type NodeSet uint64
+
+// MaxNodes is the largest machine a NodeSet can describe.
+const MaxNodes = 64
 
 // Add returns s with node present.
 func (s NodeSet) Add(node int) NodeSet { return s | 1<<uint(node) }

@@ -221,11 +221,11 @@ func New(cfg Config) *Machine {
 			switch msg.Kind {
 			case netsim.Inv, netsim.Recall, netsim.DataS, netsim.DataX,
 				netsim.AckX, netsim.FinalAck, netsim.Nack:
-				cc.Handle(msg)
+				cc.Handle(&msg)
 			case netsim.GetS, netsim.GetX, netsim.Upgrade, netsim.InvAck,
 				netsim.InvAckData, netsim.RecallAck, netsim.WB, netsim.Repl,
 				netsim.SInvNotify, netsim.SInvWB, netsim.NackHome:
-				dc.Handle(msg)
+				dc.Handle(&msg)
 			default:
 				panic("machine: message kind with no controller route")
 			}

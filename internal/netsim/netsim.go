@@ -14,6 +14,15 @@
 //
 // The package also owns the protocol message taxonomy so that message
 // counting — the subject of Table 3 of the paper — lives in one place.
+//
+// A Message is 112 bytes, so the event path moves it by reference: a sender
+// builds it once and hands it to Post by pointer, the network copies it into
+// a pooled delivery record, and delivery copies it once more into the
+// destination Handler's argument. Handlers take a value because callers
+// outside the simulator (perfbench's per-layer network runs) register plain
+// func(Message) handlers; the protocol controllers behind the machine's
+// handler pass that argument on by pointer, valid until the handler
+// returns. Send is Post for callers that build a message by value.
 package netsim
 
 import (
@@ -215,7 +224,9 @@ func (c Counts) Sub(o Counts) Counts {
 	return out
 }
 
-// Handler consumes a delivered message at its destination node.
+// Handler consumes a delivered message at its destination node. The
+// argument is the handler's own copy; a handler that passes it on by
+// pointer keeps that pointer valid only until it returns.
 type Handler func(Message)
 
 // Observer receives a callback per message injection and delivery. It exists
@@ -223,7 +234,7 @@ type Handler func(Message)
 // package importing it; a nil observer costs one predictable branch per
 // send/delivery and zero allocations.
 type Observer interface {
-	// MsgSent fires inside Send, after the arrival time is computed. For a
+	// MsgSent fires inside Post, after the arrival time is computed. For a
 	// duplicated message it fires once per delivered copy; for a dropped
 	// message it does not fire at all (MsgFault reports the loss).
 	MsgSent(now event.Time, m Message, arrive event.Time)
@@ -240,7 +251,7 @@ type Config struct {
 	Nodes   int
 	Latency event.Time // constant flight time, 100 or 1000 in the paper
 
-	// Faults, when non-nil, is consulted on every non-local Send. With a
+	// Faults, when non-nil, is consulted on every non-local send. With a
 	// plan installed the network additionally clamps every delivery to the
 	// latest delivery already scheduled for its ordered (src, dst) pair, so
 	// jitter and duplication never violate the per-pair FIFO guarantee the
@@ -249,7 +260,7 @@ type Config struct {
 }
 
 // Network is the interconnect instance. It is driven entirely by the event
-// queue; Send may only be called from inside events.
+// queue; Post and Send may only be called from inside events.
 type Network struct {
 	q        *event.Queue
 	latency  event.Time
@@ -276,7 +287,7 @@ type Network struct {
 
 	// free is the delivery-record free list. A simulation is single-threaded
 	// (everything runs inside the event loop), so a plain stack suffices; in
-	// steady state every Send reuses a record and allocates nothing.
+	// steady state every send reuses a record and allocates nothing.
 	free     []*delivery
 	recycled uint64
 
@@ -318,18 +329,18 @@ func deliver(arg any) {
 		n.obs.MsgDelivered(now, d.msg)
 	}
 	n.handlers[d.msg.Dst](d.msg)
-	// Handlers may Send; a stale chain head can never be rechained (any new
+	// Handlers may send; a stale chain head can never be rechained (any new
 	// arrival time is strictly greater than now), so d is safe to walk here.
 	for i := 0; i < len(d.more); i++ {
-		m := d.more[i]
+		m := &d.more[i]
 		n.inflight--
 		if n.obs != nil {
-			n.obs.MsgDelivered(now, m)
+			n.obs.MsgDelivered(now, *m)
 		}
-		n.handlers[m.Dst](m)
+		n.handlers[m.Dst](*m)
 	}
-	d.msg = Message{}
-	clear(d.more)
+	// Message holds no pointers, so the record and its chain are recycled
+	// without zeroing: nothing stale is kept reachable.
 	d.more = d.more[:0]
 	n.free = append(n.free, d)
 }
@@ -441,7 +452,7 @@ func (n *Network) Inject(m Message, arrive event.Time) {
 	if arrive < now {
 		panic(fmt.Sprintf("netsim: Inject of %v at t=%d into a partition already at t=%d", m, int64(arrive), int64(now)))
 	}
-	n.sched(m, now, arrive)
+	n.sched(&m, now, arrive)
 }
 
 // SetObserver installs (or, with nil, removes) the traffic observer.
@@ -468,19 +479,27 @@ func InjectionTime(k Kind) event.Time {
 	return t
 }
 
-// Send injects m at its source NI. Local messages (Src == Dst) bypass the
+// Send injects a copy of m at its source NI; it is Post for callers that
+// build a message by value.
+func (n *Network) Send(m Message) event.Time { return n.Post(&m) }
+
+// Post injects *m at its source NI. Local messages (Src == Dst) bypass the
 // network: they are delivered after LocalDelay, are not counted, and are
 // exempt from fault injection. The return value is the time the message will
 // be delivered; if the fault plan drops the message it is the time delivery
 // would have happened, useful only as a scheduling hint.
 //
+// The network copies *m into its delivery record before Post returns, so the
+// caller keeps ownership of m: the protocol controllers build each message
+// once, in place, and hand it down by pointer.
+//
 //dsi:hotpath
-func (n *Network) Send(m Message) event.Time {
+func (n *Network) Post(m *Message) event.Time {
 	if m.Src < 0 || m.Src >= len(n.nis) || m.Dst < 0 || m.Dst >= len(n.nis) {
-		panic(fmt.Sprintf("netsim: bad endpoints in %v", m))
+		panic(fmt.Sprintf("netsim: bad endpoints in %v", *m))
 	}
 	if n.handlers[m.Dst] == nil && (n.remote == nil || m.Dst == n.owner) {
-		panic(fmt.Sprintf("netsim: no handler at node %d for %v", m.Dst, m))
+		panic(fmt.Sprintf("netsim: no handler at node %d for %v", m.Dst, *m))
 	}
 	now := n.q.Now()
 	if m.Src == m.Dst {
@@ -504,23 +523,23 @@ func (n *Network) Send(m Message) event.Time {
 // onto that record instead of costing its own queued event; see delivery.
 //
 //dsi:hotpath
-func (n *Network) sched(m Message, now, arrive event.Time) {
+func (n *Network) sched(m *Message, now, arrive event.Time) {
 	if n.remote != nil && m.Dst != n.owner {
-		n.remote(m, arrive)
+		n.remote(*m, arrive)
 		return
 	}
 	n.inflight++
 	if n.obs != nil {
-		n.obs.MsgSent(now, m, arrive)
+		n.obs.MsgSent(now, *m, arrive)
 	}
 	if n.chainTo != nil && n.chainArrive == arrive && n.chainDst == m.Dst &&
 		n.chainSeq == n.q.LastSeq() {
-		n.chainTo.more = append(n.chainTo.more, m)
+		n.chainTo.more = append(n.chainTo.more, *m)
 		n.batched++
 		return
 	}
 	d := n.getDelivery()
-	d.msg = m
+	d.msg = *m
 	n.q.AtCall(arrive, deliver, d)
 	n.chainTo, n.chainArrive, n.chainDst, n.chainSeq = d, arrive, m.Dst, n.q.LastSeq()
 }
@@ -534,7 +553,7 @@ func (n *Network) Batched() uint64 { return n.batched }
 // through clampFIFO, so faults perturb timing but never per-pair ordering.
 //
 //dsi:hotpath
-func (n *Network) faultySend(m Message, now, arrive event.Time) event.Time {
+func (n *Network) faultySend(m *Message, now, arrive event.Time) event.Time {
 	dec := n.faults.Decide(int(m.Kind), m.Src, m.Dst, m.Kind.Droppable())
 	switch dec.Action {
 	case faultinj.Deliver:
@@ -543,14 +562,14 @@ func (n *Network) faultySend(m Message, now, arrive event.Time) event.Time {
 		return arrive
 	case faultinj.Drop:
 		if n.obs != nil {
-			n.obs.MsgFault(now, m, faultinj.Drop, 0)
+			n.obs.MsgFault(now, *m, faultinj.Drop, 0)
 		}
 		return arrive
 	case faultinj.Duplicate:
 		arrive = n.clampFIFO(m, arrive)
 		copyAt := n.clampFIFO(m, arrive+dec.Delay)
 		if n.obs != nil {
-			n.obs.MsgFault(now, m, faultinj.Duplicate, copyAt-arrive)
+			n.obs.MsgFault(now, *m, faultinj.Duplicate, copyAt-arrive)
 		}
 		n.sched(m, now, arrive)
 		// The copy materializes inside the network but is real traffic on
@@ -561,7 +580,7 @@ func (n *Network) faultySend(m Message, now, arrive event.Time) event.Time {
 	case faultinj.Delay:
 		arrive = n.clampFIFO(m, arrive+dec.Delay)
 		if n.obs != nil {
-			n.obs.MsgFault(now, m, faultinj.Delay, dec.Delay)
+			n.obs.MsgFault(now, *m, faultinj.Delay, dec.Delay)
 		}
 		n.sched(m, now, arrive)
 		return arrive
@@ -576,7 +595,7 @@ func (n *Network) faultySend(m Message, now, arrive event.Time) event.Time {
 // per-pair FIFO delivery survives any fault plan.
 //
 //dsi:hotpath
-func (n *Network) clampFIFO(m Message, arrive event.Time) event.Time {
+func (n *Network) clampFIFO(m *Message, arrive event.Time) event.Time {
 	idx := m.Src*len(n.nis) + m.Dst
 	if last := n.pairLast[idx]; arrive < last {
 		arrive = last

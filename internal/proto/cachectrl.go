@@ -36,7 +36,7 @@ type mshr struct {
 	kind  opKind
 	addr  mem.Addr // full faulting address (selects the word within the block)
 	st    Store    // store to perform on grant (write/swap)
-	cont  func(Result)
+	cont  func(*Result)
 	start event.Time
 
 	// WC swap: the grant arrived with Pending set; completion waits for the
@@ -65,7 +65,7 @@ type wbEntry struct {
 	dataArrived  bool
 	pendingFinal bool
 	// readWaiters are reads stalled until the block's data arrives.
-	readWaiters []func(Result)
+	readWaiters []func(*Result)
 	// blockedStores were issued after the block's data arrived but left the
 	// cache again; they re-execute when the entry retires.
 	blockedStores []pendingStore
@@ -102,7 +102,7 @@ type pendingStore struct {
 	addr  mem.Addr
 	st    Store
 	start event.Time
-	cont  func(Result)
+	cont  func(*Result)
 }
 
 // ccHot is the hot plane of one block's cache-controller state: the
@@ -165,6 +165,12 @@ type CacheCtrl struct {
 	// tear-off copy, 0 when none (§3.3: invalidated at the next miss).
 	scTear mem.Addr
 
+	// res is the storage behind every *Result handed to a continuation (see
+	// result). One slot serves every access: the next completion overwrites
+	// it, so a continuation reads its Result before it starts another
+	// access, as the processor's continuations do.
+	res Result
+
 	// blocks is the dense per-block state table holding each block's
 	// outstanding miss and write-buffer entry (replaces the mshrs and
 	// entries hash maps), split SoA-style: the miss pointer lives in the
@@ -199,22 +205,22 @@ type sendCall struct {
 	msg netsim.Message
 }
 
-// doSendCall is the static action for deferred request injection.
+// doSendCall is the static action for deferred request injection. The
+// record is recycled once the network has copied its message.
 //
 //dsi:hotpath
 func doSendCall(arg any) {
 	c := arg.(*sendCall)
-	cc, m := c.cc, c.msg
-	c.msg = netsim.Message{}
+	cc := c.cc
+	cc.send(&c.msg)
 	cc.sendFree = append(cc.sendFree, c)
-	cc.send(m)
 }
 
 // flushCall is a pooled record resuming the processor after a sync-point
 // self-invalidation flush.
 type flushCall struct {
 	cc   *CacheCtrl
-	cont func(Result)
+	cont func(*Result)
 }
 
 // doFlushCall is the static action completing SyncFlush; it fires exactly
@@ -224,26 +230,40 @@ func doFlushCall(arg any) {
 	cc, cont := c.cc, c.cont
 	c.cont = nil
 	cc.flushFree = append(cc.flushFree, c)
-	cont(Result{Done: cc.env.Q.Now()})
+	cont(cc.result(cc.env.Q.Now()))
+}
+
+// result resets the controller's Result slot for an access completing at
+// done and returns it. Callers fill in the remaining fields and pass the
+// pointer to the access's continuation; it is valid until that call
+// returns. Keeping the Result in the controller rather than in a local
+// whose address reaches a closure keeps it off the heap.
+//
+//dsi:hotpath
+func (cc *CacheCtrl) result(done event.Time) *Result {
+	cc.res = Result{Done: done}
+	return &cc.res
 }
 
 // newMshr takes an MSHR from the free list (or allocates one) and
-// initializes it to init.
-func (cc *CacheCtrl) newMshr(init mshr) *mshr {
+// initializes it to *init.
+func (cc *CacheCtrl) newMshr(init *mshr) *mshr {
 	if n := len(cc.msFree); n > 0 {
 		ms := cc.msFree[n-1]
 		cc.msFree = cc.msFree[:n-1]
-		*ms = init
+		*ms = *init
 		return ms
 	}
 	ms := new(mshr)
-	*ms = init
+	*ms = *init
 	return ms
 }
 
 // freeMshr recycles a retired MSHR. Callers must not touch ms afterwards.
+// Only the continuation, the record's one pointer, is cleared; newMshr
+// overwrites the rest.
 func (cc *CacheCtrl) freeMshr(ms *mshr) {
-	*ms = mshr{}
+	ms.cont = nil
 	cc.msFree = append(cc.msFree, ms)
 }
 
@@ -328,23 +348,30 @@ func (cc *CacheCtrl) Outstanding() int { return cc.msCount + cc.wbCount + len(cc
 //dsi:hotpath
 func (cc *CacheCtrl) WBEmpty() bool { return cc.wbCount == 0 && len(cc.stalled) == 0 }
 
+// send stamps this node as the source of *m and injects it. The network
+// copies the message, so callers build it in place: cc.send(&netsim.Message{…}).
+//
 //dsi:hotpath
-func (cc *CacheCtrl) send(m netsim.Message) {
+func (cc *CacheCtrl) send(m *netsim.Message) {
 	m.Src = cc.node
-	cc.env.Net.Send(m)
+	cc.env.Net.Post(m)
 }
 
 func (cc *CacheCtrl) home(a mem.Addr) int { return cc.env.Layout.Home(a) }
 
 // --- processor-facing operations -------------------------------------------
 
-// Read performs a load. cont may run synchronously on a hit.
+// Read performs a load. cont may run synchronously on a hit. Like every
+// continuation, it receives a *Result that is valid only until it returns.
 //
 //dsi:hotpath
-func (cc *CacheCtrl) Read(a mem.Addr, cont func(Result)) {
+func (cc *CacheCtrl) Read(a mem.Addr, cont func(*Result)) {
 	now := cc.env.Q.Now()
 	if f, hit := cc.c.Lookup(a); hit {
-		cont(Result{Done: now, Hit: true, Value: f.Data})
+		r := cc.result(now)
+		r.Hit = true
+		r.Value = f.Data
+		cont(r)
 		return
 	}
 	b := mem.BlockOf(a)
@@ -365,7 +392,7 @@ func (cc *CacheCtrl) Read(a mem.Addr, cont func(Result)) {
 		}
 	}
 	cc.stats.ReadMisses++
-	cc.issueMiss(b, blk, cc.newMshr(mshr{kind: opRead, cont: cont, start: now}))
+	cc.issueMiss(b, blk, cc.newMshr(&mshr{kind: opRead, cont: cont, start: now}))
 }
 
 // Write performs a store. Under SC the processor stalls until completion;
@@ -373,11 +400,13 @@ func (cc *CacheCtrl) Read(a mem.Addr, cont func(Result)) {
 // accepts it.
 //
 //dsi:hotpath
-func (cc *CacheCtrl) Write(a mem.Addr, st Store, cont func(Result)) {
+func (cc *CacheCtrl) Write(a mem.Addr, st Store, cont func(*Result)) {
 	now := cc.env.Q.Now()
 	if f, hit := cc.c.Lookup(a); hit && f.State == cache.Exclusive {
 		f.Data = st.Merge(f.Data, a)
-		cont(Result{Done: now, Hit: true})
+		r := cc.result(now)
+		r.Hit = true
+		cont(r)
 		return
 	}
 	if cc.cfg.Consistency == WC {
@@ -386,31 +415,33 @@ func (cc *CacheCtrl) Write(a mem.Addr, st Store, cont func(Result)) {
 	}
 	cc.stats.WriteMisses++
 	b := mem.BlockOf(a)
-	cc.issueMiss(b, cc.block(b), cc.newMshr(mshr{kind: opWrite, addr: a, st: st, cont: cont, start: now}))
+	cc.issueMiss(b, cc.block(b), cc.newMshr(&mshr{kind: opWrite, addr: a, st: st, cont: cont, start: now}))
 }
 
 // Swap atomically exchanges the word at a, returning the previous word. The
 // caller must drain the write buffer first under WC.
-func (cc *CacheCtrl) Swap(a mem.Addr, newWord uint64, st Store, cont func(Result)) {
+func (cc *CacheCtrl) Swap(a mem.Addr, newWord uint64, st Store, cont func(*Result)) {
 	now := cc.env.Q.Now()
 	st.Word = newWord
 	if f, hit := cc.c.Lookup(a); hit && f.State == cache.Exclusive {
-		old := f.Data.WordAt(a)
-		prev := f.Data
+		r := cc.result(now)
+		r.Hit = true
+		r.OldWord = f.Data.WordAt(a)
+		r.Value = f.Data
 		f.Data = st.Merge(f.Data, a)
-		cont(Result{Done: now, Hit: true, OldWord: old, Value: prev})
+		cont(r)
 		return
 	}
 	cc.stats.SwapMisses++
 	b := mem.BlockOf(a)
-	cc.issueMiss(b, cc.block(b), cc.newMshr(mshr{kind: opSwap, addr: a, st: st, cont: cont, start: now}))
+	cc.issueMiss(b, cc.block(b), cc.newMshr(&mshr{kind: opSwap, addr: a, st: st, cont: cont, start: now}))
 }
 
 // SyncFlush performs the DSI self-invalidation due at a synchronization
 // point: tear-off blocks flash-clear in one cycle; tracked marked blocks
 // are invalidated and their notifications injected back-to-back. cont runs
 // once the processor may proceed (all notifications injected).
-func (cc *CacheCtrl) SyncFlush(cont func(Result)) {
+func (cc *CacheCtrl) SyncFlush(cont func(*Result)) {
 	now := cc.env.Q.Now()
 	cc.stats.SyncFlushes++
 	evs := cc.mech.OnSync(cc.c)
@@ -530,7 +561,7 @@ func (cc *CacheCtrl) newSendCall() *sendCall {
 // install places an arriving block, emitting any displacement writeback.
 //
 //dsi:hotpath
-func (cc *CacheCtrl) install(b mem.Addr, st cache.State, m netsim.Message) {
+func (cc *CacheCtrl) install(b mem.Addr, st cache.State, m *netsim.Message) {
 	sk := cc.env.Sink
 	var old cache.State
 	if sk != nil {
@@ -585,7 +616,7 @@ func (cc *CacheCtrl) install(b mem.Addr, st cache.State, m netsim.Message) {
 // mechanism's install hook. It must run after the pending store/swap has
 // been applied: a full FIFO may displace — and self-invalidate — the block
 // that just arrived.
-func (cc *CacheCtrl) postInstall(b mem.Addr, m netsim.Message) {
+func (cc *CacheCtrl) postInstall(b mem.Addr, m *netsim.Message) {
 	marked := m.SI
 	// Cache-side identification (§3.1): mark locally if this block's
 	// invalidation history crosses the threshold. The home-node exemption
@@ -617,10 +648,10 @@ func (cc *CacheCtrl) evictionMessage(ev cache.Evicted) {
 	}
 	home := cc.home(ev.Addr)
 	if ev.State == cache.Exclusive {
-		cc.send(netsim.Message{Kind: netsim.WB, Dst: home, Addr: ev.Addr, Data: ev.Data, SI: ev.SI})
+		cc.send(&netsim.Message{Kind: netsim.WB, Dst: home, Addr: ev.Addr, Data: ev.Data, SI: ev.SI})
 		return
 	}
-	cc.send(netsim.Message{Kind: netsim.Repl, Dst: home, Addr: ev.Addr, SI: ev.SI})
+	cc.send(&netsim.Message{Kind: netsim.Repl, Dst: home, Addr: ev.Addr, SI: ev.SI})
 }
 
 // notifySelfInval tells the home a tracked block self-invalidated.
@@ -628,10 +659,10 @@ func (cc *CacheCtrl) notifySelfInval(ev cache.Evicted) {
 	home := cc.home(ev.Addr)
 	cc.stats.SINotifies++
 	if ev.State == cache.Exclusive {
-		cc.send(netsim.Message{Kind: netsim.SInvWB, Dst: home, Addr: ev.Addr, Data: ev.Data, SI: true})
+		cc.send(&netsim.Message{Kind: netsim.SInvWB, Dst: home, Addr: ev.Addr, Data: ev.Data, SI: true})
 		return
 	}
-	cc.send(netsim.Message{Kind: netsim.SInvNotify, Dst: home, Addr: ev.Addr, SI: true})
+	cc.send(&netsim.Message{Kind: netsim.SInvNotify, Dst: home, Addr: ev.Addr, SI: true})
 }
 
 // --- write buffer (weak consistency) ----------------------------------------
@@ -645,7 +676,10 @@ func (cc *CacheCtrl) bufferStore(ps pendingStore) {
 		if !e.dataArrived {
 			// Coalesce into the outstanding entry.
 			e.coalesce(ps.addr, ps.st)
-			ps.cont(Result{Done: now, Hit: true, WBFullWait: now - ps.start})
+			r := cc.result(now)
+			r.Hit = true
+			r.WBFullWait = now - ps.start
+			ps.cont(r)
 			return
 		}
 		// Data arrived but the block left the cache (otherwise the store
@@ -675,8 +709,10 @@ func (cc *CacheCtrl) allocateEntry(b mem.Addr, blk *ccHot, w *ccCold, ps pending
 	w.wb = e
 	cc.wbCount++
 	cc.stats.WriteMisses++
-	cc.issueMiss(b, blk, cc.newMshr(mshr{kind: opWrite, addr: ps.addr, st: ps.st, start: ps.start}))
-	ps.cont(Result{Done: now, WBFullWait: now - ps.start})
+	cc.issueMiss(b, blk, cc.newMshr(&mshr{kind: opWrite, addr: ps.addr, st: ps.st, start: ps.start}))
+	r := cc.result(now)
+	r.WBFullWait = now - ps.start
+	ps.cont(r)
 }
 
 // retire frees a write-buffer slot and wakes anything waiting on it.
@@ -706,10 +742,11 @@ func (cc *CacheCtrl) retire(e *wbEntry) {
 
 // --- network-facing handlers -------------------------------------------------
 
-// Handle dispatches one incoming coherence message bound for the cache.
+// Handle dispatches one incoming coherence message bound for the cache. *m
+// is valid only until Handle returns.
 //
 //dsi:hotpath
-func (cc *CacheCtrl) Handle(m netsim.Message) {
+func (cc *CacheCtrl) Handle(m *netsim.Message) {
 	switch m.Kind {
 	case netsim.Inv:
 		cc.onInv(m)
@@ -730,11 +767,11 @@ func (cc *CacheCtrl) Handle(m netsim.Message) {
 		// directory; only grants, probes, and recall/invalidate traffic ever
 		// target a cache.
 		//dsi:unreachable not-routed — home-bound kinds never reach a cache
-		cc.env.fail("cache %d: unexpected message %v", cc.node, m)
+		cc.env.fail("cache %d: unexpected message %v", cc.node, *m)
 	}
 }
 
-func (cc *CacheCtrl) onInv(m netsim.Message) {
+func (cc *CacheCtrl) onInv(m *netsim.Message) {
 	cc.stats.InvsReceived++
 	b := mem.BlockOf(m.Addr)
 	if cc.hist != nil {
@@ -747,7 +784,7 @@ func (cc *CacheCtrl) onInv(m netsim.Message) {
 	// Acknowledge unconditionally: if the copy is gone, our replacement
 	// notice is already FIFO-ordered ahead of this ack.
 	if had && ev.State == cache.Exclusive {
-		cc.send(netsim.Message{Kind: netsim.InvAckData, Dst: m.Src, Addr: b, Data: ev.Data, Txn: m.Txn})
+		cc.send(&netsim.Message{Kind: netsim.InvAckData, Dst: m.Src, Addr: b, Data: ev.Data, Txn: m.Txn})
 		return
 	}
 	if !had && cc.cfg.Retry != nil {
@@ -756,20 +793,20 @@ func (cc *CacheCtrl) onInv(m netsim.Message) {
 		// negative ack so the taxonomy stays clean; the directory consumes
 		// it like an InvAck.
 		cc.stats.NackHomesSent++
-		cc.send(netsim.Message{Kind: netsim.NackHome, Dst: m.Src, Addr: b, Txn: m.Txn})
+		cc.send(&netsim.Message{Kind: netsim.NackHome, Dst: m.Src, Addr: b, Txn: m.Txn})
 		return
 	}
-	cc.send(netsim.Message{Kind: netsim.InvAck, Dst: m.Src, Addr: b, Txn: m.Txn})
+	cc.send(&netsim.Message{Kind: netsim.InvAck, Dst: m.Src, Addr: b, Txn: m.Txn})
 }
 
-func (cc *CacheCtrl) onRecall(m netsim.Message) {
+func (cc *CacheCtrl) onRecall(m *netsim.Message) {
 	cc.stats.RecallsRecv++
 	b := mem.BlockOf(m.Addr)
 	if data, ok := cc.c.Downgrade(b); ok {
 		if sk := cc.env.Sink; sk != nil {
 			sk.OnCacheState(cc.env.Q.Now(), cc.node, b, m.Txn, cache.Exclusive, cache.Shared, 0)
 		}
-		cc.send(netsim.Message{Kind: netsim.RecallAck, Dst: m.Src, Addr: b, Data: data, Txn: m.Txn})
+		cc.send(&netsim.Message{Kind: netsim.RecallAck, Dst: m.Src, Addr: b, Data: data, Txn: m.Txn})
 		return
 	}
 	// Copy already written back or self-invalidated; the data is on its way
@@ -777,14 +814,14 @@ func (cc *CacheCtrl) onRecall(m netsim.Message) {
 	if cc.cfg.Retry != nil {
 		if _, held := cc.c.Peek(b); !held {
 			cc.stats.NackHomesSent++
-			cc.send(netsim.Message{Kind: netsim.NackHome, Dst: m.Src, Addr: b, Txn: m.Txn})
+			cc.send(&netsim.Message{Kind: netsim.NackHome, Dst: m.Src, Addr: b, Txn: m.Txn})
 			return
 		}
 	}
-	cc.send(netsim.Message{Kind: netsim.InvAck, Dst: m.Src, Addr: b, Txn: m.Txn})
+	cc.send(&netsim.Message{Kind: netsim.InvAck, Dst: m.Src, Addr: b, Txn: m.Txn})
 }
 
-func (cc *CacheCtrl) onDataS(m netsim.Message) {
+func (cc *CacheCtrl) onDataS(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	blk := cc.block(b)
 	ms := blk.ms
@@ -801,7 +838,7 @@ func (cc *CacheCtrl) onDataS(m netsim.Message) {
 			if ms == nil && cc.wbOf(b).wb == nil && !m.TearOff {
 				if _, held := cc.c.Peek(b); !held {
 					cc.stats.GrantsReturned++
-					cc.send(netsim.Message{Kind: netsim.Repl, Dst: cc.home(b), Addr: b})
+					cc.send(&netsim.Message{Kind: netsim.Repl, Dst: cc.home(b), Addr: b})
 					return
 				}
 			}
@@ -816,11 +853,14 @@ func (cc *CacheCtrl) onDataS(m netsim.Message) {
 	cc.install(b, cache.Shared, m)
 	cont := ms.cont
 	cc.freeMshr(ms)
-	cont(Result{Done: cc.env.Q.Now(), InvWait: m.InvWait, Value: m.Data})
+	r := cc.result(cc.env.Q.Now())
+	r.InvWait = m.InvWait
+	r.Value = m.Data
+	cont(r)
 	cc.postInstall(b, m)
 }
 
-func (cc *CacheCtrl) onDataX(m netsim.Message) {
+func (cc *CacheCtrl) onDataX(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	blk := cc.block(b)
 	ms := blk.ms
@@ -843,13 +883,7 @@ func (cc *CacheCtrl) onDataX(m netsim.Message) {
 		// replayed grant with Pending cleared — standing in for the lost
 		// FinalAck — completes the operation here.
 		if hardened && !m.Pending {
-			blk.ms = nil
-			cc.msCount--
-			res := ms.res
-			res.Done = cc.env.Q.Now()
-			cont := ms.cont
-			cc.freeMshr(ms)
-			cont(res)
+			cc.completeFinal(blk, ms)
 			return
 		}
 		if hardened {
@@ -868,14 +902,17 @@ func (cc *CacheCtrl) onDataX(m netsim.Message) {
 		// otherwise issue.
 		cont := ms.cont
 		cc.freeMshr(ms)
-		cont(Result{Done: cc.env.Q.Now(), InvWait: m.InvWait, Value: m.Data})
+		r := cc.result(cc.env.Q.Now())
+		r.InvWait = m.InvWait
+		r.Value = m.Data
+		cont(r)
 	} else {
 		cc.applyGrant(b, blk, ms, m)
 	}
 	cc.postInstall(b, m)
 }
 
-func (cc *CacheCtrl) onAckX(m netsim.Message) {
+func (cc *CacheCtrl) onAckX(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	blk := cc.block(b)
 	ms := blk.ms
@@ -912,7 +949,7 @@ func (cc *CacheCtrl) onAckX(m netsim.Message) {
 // applyGrant performs the buffered store or swap once exclusive ownership
 // arrives, and completes the processor operation (or parks it awaiting the
 // weak-consistency FinalAck).
-func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m netsim.Message) {
+func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m *netsim.Message) {
 	now := cc.env.Q.Now()
 	f, ok := cc.c.Peek(b)
 	if !ok {
@@ -940,7 +977,10 @@ func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m netsim.Messa
 			waiters := e.readWaiters
 			e.readWaiters = nil
 			for _, w := range waiters {
-				w(Result{Done: now, WBRead: true, Value: f.Data})
+				r := cc.result(now)
+				r.WBRead = true
+				r.Value = f.Data
+				w(r)
 			}
 			if m.Pending {
 				e.pendingFinal = true
@@ -956,28 +996,36 @@ func (cc *CacheCtrl) applyGrant(b mem.Addr, blk *ccHot, ms *mshr, m netsim.Messa
 		f.Data = ms.st.Merge(f.Data, ms.addr)
 		cont := ms.cont
 		cc.freeMshr(ms)
-		cont(Result{Done: now, InvWait: m.InvWait})
+		r := cc.result(now)
+		r.InvWait = m.InvWait
+		cont(r)
 	case opSwap:
-		old := f.Data.WordAt(ms.addr)
-		prev := f.Data
-		f.Data = ms.st.Merge(f.Data, ms.addr)
-		res := Result{Done: now, InvWait: m.InvWait, OldWord: old, Value: prev}
+		var r *Result
 		if m.Pending {
 			// WC: the swap is a synchronization access; hold completion
-			// until the directory's FinalAck.
+			// until the directory's FinalAck, parking the Result in the MSHR.
+			r = &ms.res
+			*r = Result{Done: now}
+		} else {
+			r = cc.result(now)
+		}
+		r.InvWait = m.InvWait
+		r.OldWord = f.Data.WordAt(ms.addr)
+		r.Value = f.Data
+		f.Data = ms.st.Merge(f.Data, ms.addr)
+		if m.Pending {
 			ms.waitingFinal = true
-			ms.res = res
 			blk.ms = ms
 			cc.msCount++
 			return
 		}
 		cont := ms.cont
 		cc.freeMshr(ms)
-		cont(res)
+		cont(r)
 	}
 }
 
-func (cc *CacheCtrl) onFinalAck(m netsim.Message) {
+func (cc *CacheCtrl) onFinalAck(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	hardened := cc.cfg.Retry != nil
 	id, blk := cc.blocks.Ensure(mem.BlockIndex(b))
@@ -998,13 +1046,7 @@ func (cc *CacheCtrl) onFinalAck(m netsim.Message) {
 			cc.stats.StraysIgnored++
 			return
 		}
-		blk.ms = nil
-		cc.msCount--
-		res := ms.res
-		res.Done = cc.env.Q.Now()
-		cont := ms.cont
-		cc.freeMshr(ms)
-		cont(res)
+		cc.completeFinal(blk, ms)
 		return
 	}
 	if hardened {
@@ -1013,4 +1055,17 @@ func (cc *CacheCtrl) onFinalAck(m netsim.Message) {
 		return
 	}
 	cc.env.fail("cache %d: stray FinalAck for %#x", cc.node, uint64(b))
+}
+
+// completeFinal completes a weak-consistency swap parked awaiting its
+// FinalAck: the Result saved in the MSHR moves to the controller's slot,
+// stamped with the completion time, before the MSHR is recycled.
+func (cc *CacheCtrl) completeFinal(blk *ccHot, ms *mshr) {
+	blk.ms = nil
+	cc.msCount--
+	cc.res = ms.res
+	cc.res.Done = cc.env.Q.Now()
+	cont := ms.cont
+	cc.freeMshr(ms)
+	cont(&cc.res)
 }

@@ -44,9 +44,9 @@ func TestDebugChaosTrace(t *testing.T) {
 					switch m.Kind {
 					case netsim.Inv, netsim.Recall, netsim.DataS, netsim.DataX,
 						netsim.AckX, netsim.FinalAck:
-						cc.Handle(m)
+						cc.Handle(&m)
 					default:
-						dc.Handle(m)
+						dc.Handle(&m)
 					}
 				})
 			}
@@ -73,7 +73,7 @@ func runChaosBody(r *rig, seed uint64) {
 			return
 		}
 		a := mem.Addr(1+rnd.Intn(blocks)) * mem.BlockSize
-		next := func(Result) {
+		next := func(*Result) {
 			r.q.After(event.Time(rnd.Intn(50)), func() {
 				issue(node, remaining-1, seq+1)
 			})

@@ -14,6 +14,8 @@ import (
 // after (WC) replying. While a txn is live the block is busy and later
 // requests queue behind it.
 type txn struct {
+	// req is the directory's own copy of the opening request: it outlives
+	// the handler call that delivered the message.
 	req     netsim.Message
 	isRead  bool
 	upgrade bool // reply with AckX (requester keeps its data)
@@ -196,10 +198,10 @@ func (dc *DirCtrl) entry(db *dirHot, b mem.Addr) *directory.Entry {
 	return db.ent
 }
 
-// pushQueue appends m to q's pending-request list.
+// pushQueue appends a copy of *m to q's pending-request list.
 //
 //dsi:hotpath
-func (dc *DirCtrl) pushQueue(q *dirCold, m netsim.Message) {
+func (dc *DirCtrl) pushQueue(q *dirCold, m *netsim.Message) {
 	var id int32
 	if dc.qFree != 0 {
 		id = dc.qFree - 1
@@ -209,7 +211,7 @@ func (dc *DirCtrl) pushQueue(q *dirCold, m netsim.Message) {
 		id = int32(len(dc.qNodes) - 1)
 	}
 	n := &dc.qNodes[id]
-	n.m = m
+	n.m = *m
 	n.next = 0
 	if q.qTail != 0 {
 		dc.qNodes[q.qTail-1].next = id + 1
@@ -220,44 +222,46 @@ func (dc *DirCtrl) pushQueue(q *dirCold, m netsim.Message) {
 	q.qLen++
 }
 
-// popQueue removes and returns the head of q's pending-request list.
+// popQueue removes the head of q's pending-request list and returns its
+// message, or nil when the list is empty. The node goes back on the free
+// list without zeroing (Message holds no pointers), so the returned message
+// stays valid until the next pushQueue.
 //
 //dsi:hotpath
-func (dc *DirCtrl) popQueue(q *dirCold) (netsim.Message, bool) {
+func (dc *DirCtrl) popQueue(q *dirCold) *netsim.Message {
 	if q.qHead == 0 {
-		return netsim.Message{}, false
+		return nil
 	}
 	id := q.qHead - 1
 	n := &dc.qNodes[id]
-	m := n.m
 	q.qHead = n.next
 	if q.qHead == 0 {
 		q.qTail = 0
 	}
 	q.qLen--
-	n.m = netsim.Message{}
 	n.next = dc.qFree
 	dc.qFree = id + 1
-	return m, true
+	return &n.m
 }
 
-// dirCall is a pooled record carrying one admitted request across the
-// directory-occupancy delay — the typed event argument that replaces the
+// dirCall is a pooled record carrying a copy of one admitted request across
+// the directory-occupancy delay — the typed event argument that replaces the
 // per-request closure in admit.
 type dirCall struct {
 	dc *DirCtrl
 	m  netsim.Message
 }
 
-// processCall is the static action for admitted requests.
+// processCall is the static action for admitted requests. The record goes
+// back on the free list only after process has consumed the message it
+// carries.
 //
 //dsi:hotpath
 func processCall(arg any) {
 	c := arg.(*dirCall)
-	dc, m := c.dc, c.m
-	c.m = netsim.Message{}
+	dc := c.dc
+	dc.process(&c.m)
 	dc.calls = append(dc.calls, c)
-	dc.process(m)
 }
 
 // NewDirCtrl builds the directory controller for home node.
@@ -286,23 +290,26 @@ func (dc *DirCtrl) Stats() DirStats { return dc.stats }
 // quiesce detection.
 func (dc *DirCtrl) BusyBlocks() int { return dc.busyCount }
 
+// send stamps the home node as the source of *m and injects it. The network
+// copies the message, so callers build it in place: dc.send(&netsim.Message{…}).
+//
 //dsi:hotpath
-func (dc *DirCtrl) send(m netsim.Message) {
+func (dc *DirCtrl) send(m *netsim.Message) {
 	m.Src = dc.node
-	dc.env.Net.Send(m)
+	dc.env.Net.Post(m)
 }
 
 // newTxn takes a transaction record from the free list (or allocates one)
-// and initializes it to init.
-func (dc *DirCtrl) newTxn(init txn) *txn {
+// and initializes it to *init.
+func (dc *DirCtrl) newTxn(init *txn) *txn {
 	if n := len(dc.txns); n > 0 {
 		t := dc.txns[n-1]
 		dc.txns = dc.txns[:n-1]
-		*t = init
+		*t = *init
 		return t
 	}
 	t := new(txn)
-	*t = init
+	*t = *init
 	return t
 }
 
@@ -323,10 +330,11 @@ func (dc *DirCtrl) openTxn(db *dirHot, b mem.Addr, t *txn, action netsim.Kind) {
 }
 
 // Handle dispatches one incoming message. It is the node's network handler
-// for directory-bound kinds.
+// for directory-bound kinds. *m is valid only until Handle returns; state
+// that outlives the call (a queued request, a transaction's req) is a copy.
 //
 //dsi:hotpath
-func (dc *DirCtrl) Handle(m netsim.Message) {
+func (dc *DirCtrl) Handle(m *netsim.Message) {
 	switch m.Kind {
 	case netsim.GetS, netsim.GetX, netsim.Upgrade:
 		dc.admit(m)
@@ -353,7 +361,7 @@ func (dc *DirCtrl) Handle(m netsim.Message) {
 		// The fabric routes grants, probes, and recall/invalidate traffic to
 		// caches; only requests, acks, and drop notices target the home.
 		//dsi:unreachable not-routed — cache-bound kinds never reach the home
-		dc.env.fail("dir %d: unexpected message %v", dc.node, m)
+		dc.env.fail("dir %d: unexpected message %v", dc.node, *m)
 	}
 }
 
@@ -361,7 +369,7 @@ func (dc *DirCtrl) Handle(m netsim.Message) {
 // processes it (or queues it behind a busy block).
 //
 //dsi:hotpath
-func (dc *DirCtrl) admit(m netsim.Message) {
+func (dc *DirCtrl) admit(m *netsim.Message) {
 	_, done := dc.server.Admit(dc.env.Q.Now(), DirOccupancy)
 	var c *dirCall
 	if n := len(dc.calls); n > 0 {
@@ -370,12 +378,12 @@ func (dc *DirCtrl) admit(m netsim.Message) {
 	} else {
 		c = &dirCall{dc: dc}
 	}
-	c.m = m
+	c.m = *m
 	dc.env.Q.AtCall(done, processCall, c)
 }
 
 //dsi:hotpath
-func (dc *DirCtrl) process(m netsim.Message) {
+func (dc *DirCtrl) process(m *netsim.Message) {
 	b := mem.BlockOf(m.Addr)
 	id, db := dc.blocks.Ensure(mem.BlockIndex(b))
 	if t := db.t; t != nil {
@@ -387,7 +395,7 @@ func (dc *DirCtrl) process(m netsim.Message) {
 			}
 			if lim := dc.cfg.Retry.QueueLimit; lim > 0 && int(q.qLen) >= lim {
 				dc.stats.NacksSent++
-				dc.send(netsim.Message{Kind: netsim.Nack, Dst: m.Src, Addr: b, Txn: m.Txn})
+				dc.send(&netsim.Message{Kind: netsim.Nack, Dst: m.Src, Addr: b, Txn: m.Txn})
 				return
 			}
 		}
@@ -408,7 +416,7 @@ func (dc *DirCtrl) process(m netsim.Message) {
 		// grant the prober ignores as a stray, leaving the directory and
 		// caches disagreeing at quiesce.
 		dc.stats.Replays++
-		dc.send(netsim.Message{Kind: netsim.FinalAck, Dst: m.Src, Addr: b, Txn: m.Txn})
+		dc.send(&netsim.Message{Kind: netsim.FinalAck, Dst: m.Src, Addr: b, Txn: m.Txn})
 		return
 	}
 	dc.stats.Requests++
@@ -418,7 +426,7 @@ func (dc *DirCtrl) process(m netsim.Message) {
 	case netsim.GetX, netsim.Upgrade:
 		dc.processWrite(m, db)
 	default:
-		dc.env.fail("dir %d: non-request kind %v reached process", dc.node, m)
+		dc.env.fail("dir %d: non-request kind %v reached process", dc.node, *m)
 	}
 	// Requests served immediately (no transaction) must still release any
 	// requests that queued behind the block while it was busy.
@@ -427,7 +435,7 @@ func (dc *DirCtrl) process(m netsim.Message) {
 	}
 }
 
-func (dc *DirCtrl) processRead(m netsim.Message, db *dirHot) {
+func (dc *DirCtrl) processRead(m *netsim.Message, db *dirHot) {
 	b := mem.BlockOf(m.Addr)
 	e := dc.entry(db, b)
 	pol := dc.cfg.Policy
@@ -459,15 +467,15 @@ func (dc *DirCtrl) processRead(m netsim.Message, db *dirHot) {
 
 	if e.State == directory.Exclusive {
 		// Recall the owner's copy; reply once the data returns.
-		t := dc.newTxn(txn{
-			req: m, isRead: true,
+		t := dc.newTxn(&txn{
+			req: *m, isRead: true,
 			si: si, tearOff: tearOff, ver: ver, hasVer: hasVer,
 			pending: directory.NodeSet(0).Add(e.Owner), ownerWas: e.Owner, prev: e.State,
 			procDone: dc.env.Q.Now(),
 		})
 		dc.stats.Recalls++
 		dc.openTxn(db, b, t, netsim.Recall)
-		dc.send(netsim.Message{Kind: netsim.Recall, Dst: e.Owner, Addr: b, Txn: m.Txn})
+		dc.send(&netsim.Message{Kind: netsim.Recall, Dst: e.Owner, Addr: b, Txn: m.Txn})
 		return
 	}
 
@@ -492,14 +500,14 @@ func (dc *DirCtrl) processRead(m netsim.Message, db *dirHot) {
 				e.Sharers = e.Sharers.Remove(victim)
 				dc.stats.PointerOverflows++
 				dc.stats.Invalidates++
-				t := dc.newTxn(txn{
-					req: m, isRead: true,
+				t := dc.newTxn(&txn{
+					req: *m, isRead: true,
 					si: si, tearOff: false, ver: ver, hasVer: hasVer,
 					pending: directory.NodeSet(0).Add(victim), ownerWas: -1, prev: e.State,
 					procDone: dc.env.Q.Now(),
 				})
 				dc.openTxn(db, b, t, netsim.Inv)
-				dc.send(netsim.Message{Kind: netsim.Inv, Dst: victim, Addr: b, Txn: m.Txn})
+				dc.send(&netsim.Message{Kind: netsim.Inv, Dst: victim, Addr: b, Txn: m.Txn})
 				return
 			}
 			e.Sharers = e.Sharers.Add(m.Src)
@@ -508,7 +516,7 @@ func (dc *DirCtrl) processRead(m netsim.Message, db *dirHot) {
 		if sk := dc.env.Sink; sk != nil && e.State != prev {
 			sk.OnDirState(dc.env.Q.Now(), dc.node, b, m.Txn, prev, e.State)
 		}
-		dc.send(netsim.Message{
+		dc.send(&netsim.Message{
 			Kind: netsim.DataS, Dst: m.Src, Addr: b, Txn: m.Txn,
 			Data: dc.memory.Read(b), SI: si, TearOff: tearOff, Ver: ver, HasVer: hasVer,
 		})
@@ -522,7 +530,7 @@ func (dc *DirCtrl) processRead(m netsim.Message, db *dirHot) {
 // the reader becomes the owner, saving its anticipated upgrade. If the
 // returning data shows the previous owner never actually wrote, the block
 // is demoted out of migratory mode.
-func (dc *DirCtrl) processMigratoryRead(m netsim.Message, db *dirHot, e *directory.Entry) {
+func (dc *DirCtrl) processMigratoryRead(m *netsim.Message, db *dirHot, e *directory.Entry) {
 	b := mem.BlockOf(m.Addr)
 	pol := dc.cfg.Policy
 	dc.stats.MigratoryGrants++
@@ -532,15 +540,15 @@ func (dc *DirCtrl) processMigratoryRead(m netsim.Message, db *dirHot, e *directo
 	e.ClearTearOff()
 	e.ReadersSinceWrite = 1 // this reader
 	if e.State == directory.Exclusive {
-		t := dc.newTxn(txn{
-			req: m, si: si, ver: ver, hasVer: hasVer,
+		t := dc.newTxn(&txn{
+			req: *m, si: si, ver: ver, hasVer: hasVer,
 			pending: directory.NodeSet(0).Add(e.Owner), ownerWas: e.Owner, prev: e.State,
 			procDone:      dc.env.Q.Now(),
 			migratoryRead: true,
 		})
 		dc.stats.Invalidates++
 		dc.openTxn(db, b, t, netsim.Inv)
-		dc.send(netsim.Message{Kind: netsim.Inv, Dst: e.Owner, Addr: b, Txn: m.Txn})
+		dc.send(&netsim.Message{Kind: netsim.Inv, Dst: e.Owner, Addr: b, Txn: m.Txn})
 		return
 	}
 	// Idle flavors: grant immediately.
@@ -554,7 +562,7 @@ func (dc *DirCtrl) processMigratoryRead(m netsim.Message, db *dirHot, e *directo
 	dc.sendGrant(m.Src, b, false, si, ver, hasVer, 0, false, m.Txn)
 }
 
-func (dc *DirCtrl) processWrite(m netsim.Message, db *dirHot) {
+func (dc *DirCtrl) processWrite(m *netsim.Message, db *dirHot) {
 	b := mem.BlockOf(m.Addr)
 	e := dc.entry(db, b)
 	pol := dc.cfg.Policy
@@ -595,18 +603,18 @@ func (dc *DirCtrl) processWrite(m netsim.Message, db *dirHot) {
 		if e.Owner == m.Src {
 			dc.env.fail("dir %d: GetX from current owner %d for %#x", dc.node, m.Src, uint64(b))
 		}
-		t := dc.newTxn(txn{
-			req: m, si: si, ver: ver, hasVer: hasVer,
+		t := dc.newTxn(&txn{
+			req: *m, si: si, ver: ver, hasVer: hasVer,
 			pending: directory.NodeSet(0).Add(e.Owner), ownerWas: e.Owner, prev: e.State,
 			procDone: dc.env.Q.Now(),
 		})
 		dc.stats.Invalidates++
 		dc.openTxn(db, b, t, netsim.Inv)
-		dc.send(netsim.Message{Kind: netsim.Inv, Dst: e.Owner, Addr: b, Txn: m.Txn})
+		dc.send(&netsim.Message{Kind: netsim.Inv, Dst: e.Owner, Addr: b, Txn: m.Txn})
 
 	case e.State.IsShared() && !others.Empty():
-		t := dc.newTxn(txn{
-			req: m, upgrade: upgrade, si: si, ver: ver, hasVer: hasVer,
+		t := dc.newTxn(&txn{
+			req: *m, upgrade: upgrade, si: si, ver: ver, hasVer: hasVer,
 			pending: others, ownerWas: -1, prev: e.State,
 			procDone: dc.env.Q.Now(),
 		})
@@ -614,7 +622,7 @@ func (dc *DirCtrl) processWrite(m netsim.Message, db *dirHot) {
 		e.Sharers = 0
 		others.ForEach(func(n int) {
 			dc.stats.Invalidates++
-			dc.send(netsim.Message{Kind: netsim.Inv, Dst: n, Addr: b, Txn: m.Txn})
+			dc.send(&netsim.Message{Kind: netsim.Inv, Dst: n, Addr: b, Txn: m.Txn})
 		})
 		if dc.cfg.Consistency == WC {
 			// Grant in parallel with invalidation; FinalAck follows.
@@ -647,19 +655,17 @@ func (dc *DirCtrl) processWrite(m netsim.Message, db *dirHot) {
 // copy is still valid at the requester).
 func (dc *DirCtrl) sendGrant(dst int, b mem.Addr, upgrade, si bool, ver uint8, hasVer bool, invWait event.Time, pending bool, txnID uint64) {
 	kind := netsim.DataX
-	msg := netsim.Message{
-		Kind: kind, Dst: dst, Addr: b, Txn: txnID,
-		SI: si, Ver: ver, HasVer: hasVer, InvWait: invWait, Pending: pending,
-	}
-	msg.Data = dc.memory.Read(b)
 	if upgrade {
 		// AckX moves no data on the simulated wire (injection time stays 3
 		// cycles); the Data field is simulator bookkeeping so the upgraded
 		// copy can be reconstructed even if it was displaced in flight — a
 		// tracked shared copy always equals home memory.
-		msg.Kind = netsim.AckX
+		kind = netsim.AckX
 	}
-	dc.send(msg)
+	dc.send(&netsim.Message{
+		Kind: kind, Dst: dst, Addr: b, Txn: txnID, Data: dc.memory.Read(b),
+		SI: si, Ver: ver, HasVer: hasVer, InvWait: invWait, Pending: pending,
+	})
 }
 
 // reply finishes a transaction's grant. For reads it sends DataS; for
@@ -690,7 +696,7 @@ func (dc *DirCtrl) reply(t *txn, db *dirHot, early bool) {
 		if sk := dc.env.Sink; sk != nil && e.State != prev {
 			sk.OnDirState(dc.env.Q.Now(), dc.node, b, t.req.Txn, prev, e.State)
 		}
-		dc.send(netsim.Message{
+		dc.send(&netsim.Message{
 			Kind: netsim.DataS, Dst: t.req.Src, Addr: b, Txn: t.req.Txn,
 			Data: dc.memory.Read(b), SI: t.si, TearOff: t.tearOff,
 			Ver: t.ver, HasVer: t.hasVer, InvWait: invWait,
@@ -725,7 +731,7 @@ func (dc *DirCtrl) complete(t *txn, db *dirHot) {
 				sk.OnDirState(dc.env.Q.Now(), dc.node, b, t.req.Txn, prev, e.State)
 			}
 		}
-		dc.send(netsim.Message{Kind: netsim.FinalAck, Dst: t.req.Src, Addr: b, Txn: t.req.Txn})
+		dc.send(&netsim.Message{Kind: netsim.FinalAck, Dst: t.req.Src, Addr: b, Txn: t.req.Txn})
 	default:
 		prev := e.State
 		e.State = directory.Exclusive
@@ -741,7 +747,7 @@ func (dc *DirCtrl) complete(t *txn, db *dirHot) {
 	}
 	db.t = nil
 	dc.busyCount--
-	*t = txn{}
+	// txn holds no pointers and newTxn overwrites it whole: recycle as is.
 	dc.txns = append(dc.txns, t)
 	dc.dequeue(dc.queue(b))
 }
@@ -750,7 +756,7 @@ func (dc *DirCtrl) complete(t *txn, db *dirHot) {
 //
 //dsi:hotpath
 func (dc *DirCtrl) dequeue(q *dirCold) {
-	if next, ok := dc.popQueue(q); ok {
+	if next := dc.popQueue(q); next != nil {
 		dc.admit(next)
 	}
 }
@@ -763,7 +769,7 @@ func (dc *DirCtrl) dequeue(q *dirCold) {
 // while data-carrying strays remain invariant violations — the fault plan
 // never drops or duplicates data carriers, so a legitimate one is
 // impossible.
-func (dc *DirCtrl) onAck(m netsim.Message, hasData, downgraded bool) {
+func (dc *DirCtrl) onAck(m *netsim.Message, hasData, downgraded bool) {
 	b := mem.BlockOf(m.Addr)
 	hardened := dc.cfg.Retry != nil
 	db := dc.block(b)
@@ -773,7 +779,7 @@ func (dc *DirCtrl) onAck(m netsim.Message, hasData, downgraded bool) {
 			dc.stats.StrayAcks++
 			return
 		}
-		dc.env.fail("dir %d: stray ack %v", dc.node, m)
+		dc.env.fail("dir %d: stray ack %v", dc.node, *m)
 		return
 	}
 	if !t.pending.Has(m.Src) || (hardened && m.Txn != 0 && m.Txn != t.req.Txn) {
@@ -781,7 +787,7 @@ func (dc *DirCtrl) onAck(m netsim.Message, hasData, downgraded bool) {
 			dc.stats.StrayAcks++
 			return
 		}
-		dc.env.fail("dir %d: surplus ack %v", dc.node, m)
+		dc.env.fail("dir %d: surplus ack %v", dc.node, *m)
 		return
 	}
 	if hasData {
@@ -803,7 +809,7 @@ func (dc *DirCtrl) onAck(m netsim.Message, hasData, downgraded bool) {
 
 // onWriteback handles WB/SInvWB: an exclusive copy coming home
 // unsolicited, either by replacement or by self-invalidation.
-func (dc *DirCtrl) onWriteback(m netsim.Message, cause core.IdleCause) {
+func (dc *DirCtrl) onWriteback(m *netsim.Message, cause core.IdleCause) {
 	b := mem.BlockOf(m.Addr)
 	db := dc.block(b)
 	e := dc.entry(db, b)
@@ -873,7 +879,7 @@ func (dc *DirCtrl) onWriteback(m netsim.Message, cause core.IdleCause) {
 
 // onSharedDrop handles Repl/SInvNotify: a tracked shared copy disappearing
 // by replacement or self-invalidation.
-func (dc *DirCtrl) onSharedDrop(m netsim.Message, cause core.IdleCause) {
+func (dc *DirCtrl) onSharedDrop(m *netsim.Message, cause core.IdleCause) {
 	b := mem.BlockOf(m.Addr)
 	db := dc.block(b)
 	e := dc.entry(db, b)

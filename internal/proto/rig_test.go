@@ -73,9 +73,9 @@ func newRig(t *testing.T, o rigOpts) *rig {
 			switch m.Kind {
 			case netsim.Inv, netsim.Recall, netsim.DataS, netsim.DataX,
 				netsim.AckX, netsim.FinalAck:
-				cc.Handle(m)
+				cc.Handle(&m)
 			default:
-				dc.Handle(m)
+				dc.Handle(&m)
 			}
 		})
 	}
@@ -98,27 +98,27 @@ func (r *rig) at(t event.Time, fn func()) { r.q.At(t, fn) }
 // the result after run().
 func (r *rig) read(t event.Time, node int, a mem.Addr) *Result {
 	res := &Result{Done: -1}
-	r.at(t, func() { r.ccs[node].Read(a, func(x Result) { *res = x }) })
+	r.at(t, func() { r.ccs[node].Read(a, func(x *Result) { *res = *x }) })
 	return res
 }
 
 func (r *rig) write(t event.Time, node int, a mem.Addr, seq uint64) *Result {
 	res := &Result{Done: -1}
 	st := Store{Writer: node, Seq: seq}
-	r.at(t, func() { r.ccs[node].Write(a, st, func(x Result) { *res = x }) })
+	r.at(t, func() { r.ccs[node].Write(a, st, func(x *Result) { *res = *x }) })
 	return res
 }
 
 func (r *rig) swap(t event.Time, node int, a mem.Addr, word uint64, seq uint64) *Result {
 	res := &Result{Done: -1}
 	st := Store{Writer: node, Seq: seq}
-	r.at(t, func() { r.ccs[node].Swap(a, word, st, func(x Result) { *res = x }) })
+	r.at(t, func() { r.ccs[node].Swap(a, word, st, func(x *Result) { *res = *x }) })
 	return res
 }
 
 func (r *rig) flush(t event.Time, node int) *Result {
 	res := &Result{Done: -1}
-	r.at(t, func() { r.ccs[node].SyncFlush(func(x Result) { *res = x }) })
+	r.at(t, func() { r.ccs[node].SyncFlush(func(x *Result) { *res = *x }) })
 	return res
 }
 

@@ -96,7 +96,7 @@ func TestWCGrantDoesNotWaitForAcks(t *testing.T) {
 	// Track when the data lands by reading our own write afterwards.
 	var dataAt event.Time = -1
 	r.at(2000, func() {
-		r.ccs[2].Write(a, Store{Writer: 2, Seq: 1}, func(Result) {})
+		r.ccs[2].Write(a, Store{Writer: 2, Seq: 1}, func(*Result) {})
 	})
 	// Poll: the frame appears when DataX arrives.
 	var poll func()
